@@ -11,10 +11,10 @@ it produces feeds the partitioning rules of thumb (see
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
 
 from ..kernel import Event, SimTime, SimulationError
 from .processor import Processor, Task
@@ -32,11 +32,14 @@ class TaskNode:
 
 
 class TaskGraph:
-    """A DAG of software tasks."""
+    """A DAG of software tasks.
+
+    :meth:`add` only accepts dependencies that already exist, so the graph
+    is acyclic by construction and insertion order is a topological order.
+    """
 
     def __init__(self, name: str = "taskgraph") -> None:
         self.name = name
-        self._graph = nx.DiGraph()
         self._nodes: Dict[str, TaskNode] = {}
 
     def add(self, name: str, task: Task, deps: Sequence[str] = (), affinity: Optional[int] = None) -> None:
@@ -48,13 +51,7 @@ class TaskGraph:
                 raise SimulationError(
                     f"task graph {self.name}: node {name!r} depends on unknown {dep!r}"
                 )
-        node = TaskNode(name=name, task=task, deps=list(deps), affinity=affinity)
-        self._nodes[name] = node
-        self._graph.add_node(name)
-        for dep in deps:
-            self._graph.add_edge(dep, name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise SimulationError(f"task graph {self.name}: adding {name!r} created a cycle")
+        self._nodes[name] = TaskNode(name=name, task=task, deps=list(deps), affinity=affinity)
 
     @property
     def node_names(self) -> List[str]:
@@ -63,21 +60,61 @@ class TaskGraph:
     def node(self, name: str) -> TaskNode:
         return self._nodes[name]
 
+    def _kahn_order(self, *, lexicographic: bool) -> List[str]:
+        """Kahn's algorithm; ready nodes leave in name order or FIFO order."""
+        indegree = {name: len(set(node.deps)) for name, node in self._nodes.items()}
+        children: Dict[str, List[str]] = {name: [] for name in self._nodes}
+        for name, node in self._nodes.items():
+            for dep in dict.fromkeys(node.deps):
+                children[dep].append(name)
+        ready = [name for name, n in indegree.items() if n == 0]
+        if lexicographic:
+            heapq.heapify(ready)
+            pop, push = heapq.heappop, heapq.heappush
+        else:
+            ready = deque(ready)
+            pop, push = deque.popleft, deque.append
+        order: List[str] = []
+        while ready:
+            name = pop(ready)
+            order.append(name)
+            for child in children[name]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    push(ready, child)
+        return order
+
     def topological_order(self) -> List[str]:
         """A deterministic topological ordering (lexicographic tie-break)."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        return self._kahn_order(lexicographic=True)
 
     def critical_path(self, weights: Dict[str, float]) -> List[str]:
-        """Longest path through the DAG under per-node ``weights``."""
-        graph = self._graph.copy()
-        for u, v in graph.edges:
-            graph.edges[u, v]["w"] = weights.get(v, 0.0)
-        # Add a virtual source so entry-node weights count.
-        for name in self._nodes:
-            if graph.in_degree(name) == 0:
-                graph.add_edge("__src__", name, w=weights.get(name, 0.0))
-        path = nx.dag_longest_path(graph, weight="w")
-        return [n for n in path if n != "__src__"]
+        """Longest path through the DAG under non-negative per-node ``weights``.
+
+        Ties go to the earliest-added dependency, and between end nodes to
+        the first in breadth-first (FIFO Kahn) order.  An empty list means
+        no path has positive weight.
+        """
+        added = {name: i for i, name in enumerate(self._nodes)}
+        best: Dict[str, float] = {}
+        via: Dict[str, Optional[str]] = {}
+        for name, node in self._nodes.items():  # insertion order is topological
+            pred: Optional[str] = None
+            for dep in sorted(node.deps, key=added.__getitem__):
+                if pred is None or best[dep] > best[pred]:
+                    pred = dep
+            best[name] = weights.get(name, 0.0) + (best[pred] if pred is not None else 0.0)
+            via[name] = pred
+        order = self._kahn_order(lexicographic=False)
+        end = max(order, key=best.__getitem__, default=None)
+        if end is None or best[end] <= 0:
+            return []
+        path: List[str] = []
+        step: Optional[str] = end
+        while step is not None:
+            path.append(step)
+            step = via[step]
+        return path[::-1]
 
 
 class TaskGraphExecutor:

@@ -466,7 +466,7 @@ class MethodProcess(Process):
 
     kind = "method"
 
-    __slots__ = ("_fn", "_initialize", "_queued", "_dynamic", "_pending_trigger", "_rank")
+    __slots__ = ("_fn", "_initialize", "_queued", "_dynamic", "_pending_trigger")
 
     @property
     def runs_at_start(self) -> bool:
@@ -487,9 +487,6 @@ class MethodProcess(Process):
         self._queued = False
         self._dynamic: Optional[_MethodTrigger] = None
         self._pending_trigger: Optional[object] = "unset"
-        # Topological rank assigned by the static schedule
-        # (kernel/specialize.py); 0 and unused on the generic path.
-        self._rank = 0
 
     def start(self) -> None:
         if self.state is not ProcessState.CREATED:

@@ -29,14 +29,6 @@ activity (e.g. everything happening at t=0) is traced too.  Activity a
 hook itself injects runs at the same instant but does not re-fire the
 hooks: "once per finished instant" is a hard guarantee, and the injected
 effects are visible when the hooks fire at the next instant.
-
-With ``specialize=True`` (the default) :meth:`Simulator.initialize` asks
-:mod:`repro.kernel.specialize` for an elaboration-time static schedule:
-signals the dataflow analysis proves single-writer with method-only
-readers commit immediately (skipping the update-queue round trip and
-delta notification), and the sensitive method processes run in a
-topologically ranked wave inside the same evaluation phase.  Designs the
-analysis cannot fully resolve fall back wholesale to the generic path.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from .errors import DeadlockError, ElaborationError, ProcessError, SchedulingError
+from .errors import DeadlockError, ElaborationError, SchedulingError
 from .event import Event
 from .process import Process, ProcessState, ThreadProcess
 from .simtime import SimTime, ZERO_TIME
@@ -79,9 +71,6 @@ class SimulatorStats:
         "delta_cycles",
         "timed_activations",
         "signal_updates",
-        "specialized_commits",
-        "register_commits",
-        "compiled_thread_waits",
     )
 
     def __init__(self) -> None:
@@ -89,24 +78,6 @@ class SimulatorStats:
         self.delta_cycles = 0
         self.timed_activations = 0
         self.signal_updates = 0
-        #: Signal commits performed by the specialized fast path, i.e.
-        #: update-queue round trips and delta notifications the static
-        #: schedule proved unnecessary and skipped.  Always 0 on the
-        #: generic path, so ``signal_updates + specialized_commits`` is
-        #: comparable across the two schedulers.
-        self.specialized_commits = 0
-        #: Commits of register-class signals on the specialized fast path:
-        #: the staged update-queue round trip is kept (so readers in the
-        #: same instant still see the old value) but the proven-pointless
-        #: notification scan is skipped.  A subset of ``signal_updates``,
-        #: reported separately; always 0 on the generic path.
-        self.register_commits = 0
-        #: Waits armed through the compiled-thread fast path
-        #: (:class:`repro.kernel.specialize._CompiledThread`): timed waits
-        #: served by a pooled heap entry and event waits served by the
-        #: direct-dispatch slot, both skipping the generic WaitHandle
-        #: machinery.  Always 0 on the generic path.
-        self.compiled_thread_waits = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dictionary (for reports)."""
@@ -115,9 +86,6 @@ class SimulatorStats:
             "delta_cycles": self.delta_cycles,
             "timed_activations": self.timed_activations,
             "signal_updates": self.signal_updates,
-            "specialized_commits": self.specialized_commits,
-            "register_commits": self.register_commits,
-            "compiled_thread_waits": self.compiled_thread_waits,
         }
 
 
@@ -131,7 +99,7 @@ class Simulator:
         sim.run(until=us(100))
     """
 
-    def __init__(self, name: str = "sim", *, specialize: bool = True) -> None:
+    def __init__(self, name: str = "sim") -> None:
         self.name = name
         self._now_fs = 0
         self._now_obj = ZERO_TIME  # cached SimTime mirror of _now_fs
@@ -146,31 +114,6 @@ class Simulator:
         self._processes: List[Process] = []
         self._top_modules: List[object] = []
         self._end_of_elaboration_hooks: List[Callable[[], None]] = []
-        # -- elaboration-time specialization (kernel/specialize.py) --------
-        #: Master switch: ``specialize=False`` forces the generic scheduler
-        #: regardless of what the static analysis could prove.
-        self._specialize_enabled = specialize
-        #: True while the static fast path is active.  Runtime events the
-        #: plan could not foresee (dynamic spawn, hooks armed mid-run)
-        #: revert the whole design via :meth:`_despecialize`.
-        self._specialized = False
-        #: Rank-indexed buckets of method processes marked runnable by
-        #: fast signal commits; drained in rank order by the evaluation
-        #: phase.  Empty list on the generic path.
-        self._pending_buckets: List[List[Process]] = []
-        self._pending_count = 0
-        #: Signals whose class was swapped to a fast variant (for revert).
-        self._fast_signals: List[object] = []
-        #: Thread processes whose class was swapped to the compiled-thread
-        #: fast variant (for revert).
-        self._compiled_threads: List[object] = []
-        #: The :class:`~repro.analysis.dataflow.SchedulePlan` built at
-        #: :meth:`initialize`, or None (specialization disabled / analysis
-        #: layer unavailable).
-        self.schedule_plan = None
-        #: Why the design fell back to the generic scheduler (empty when
-        #: specialized, or when specialization was never attempted).
-        self.specialize_fallback_reasons: List[str] = []
         self.stats = SimulatorStats()
         #: Called with the current time once per finished instant (after the
         #: last delta cycle at that timestamp, before time advances).
@@ -216,15 +159,9 @@ class Simulator:
         self._top_modules.append(module)
 
     def register_process(self, process: Process) -> None:
+        self._processes.append(process)
         if self._started:
-            # Dynamic process: the static schedule cannot account for it,
-            # so the whole design reverts to the generic scheduler.
-            if self._specialized:
-                self._despecialize(f"dynamic process {process.name!r} registered after start")
-            self._processes.append(process)
             process.start()
-        else:
-            self._processes.append(process)
 
     def spawn(self, name: str, fn: Callable[[], object], daemon: bool = False) -> ThreadProcess:
         """Create (and, if the simulation has started, start) a thread process."""
@@ -302,37 +239,14 @@ class Simulator:
 
     # -- running --------------------------------------------------------------
     def initialize(self) -> None:
-        """Run end-of-elaboration hooks and make all processes runnable.
-
-        With specialization enabled (the default), this is also where the
-        static schedule is built and applied: elaboration is complete, no
-        process has run yet, so the dataflow analysis sees the final design.
-        """
+        """Run end-of-elaboration hooks and make all processes runnable."""
         if self._started:
             return
         self._started = True
         for hook in self._end_of_elaboration_hooks:
             hook()
-        if self._specialize_enabled:
-            from .specialize import try_specialize
-
-            try_specialize(self)
         for process in self._processes:
             process.start()
-
-    def _despecialize(self, reason: str = "runtime fallback trigger") -> None:
-        """Revert the specialized fast path to the generic scheduler.
-
-        Safe to call mid-run: pending static-schedule marks are flushed
-        into the runnable queue (in rank order) and the fast signal
-        classes are swapped back, so the current instant completes with
-        generic semantics.  Idempotent.
-        """
-        if not self._specialized:
-            return
-        from .specialize import revert
-
-        revert(self, reason)
 
     def stop(self) -> None:
         """Request the scheduler to stop after the current process returns."""
@@ -391,53 +305,20 @@ class Simulator:
             while not self._stop_requested:
                 # Evaluation phase.
                 executed = False
-                while True:
-                    while runnable:
-                        process = runnable.popleft()
-                        executed = True
-                        stats.process_executions += 1
-                        self.current_process = process
-                        process._execute()
-                        if (
-                            wall_deadline is not None
-                            and (stats.process_executions & 0xFF) == 0
-                            and time.monotonic() >= wall_deadline
-                        ):
-                            self._trip_watchdog(max_wall_s)
-                        if self._stop_requested:
-                            break
-                    if not self._pending_count or self._stop_requested:
-                        break
-                    # Static-schedule drain: method processes marked by fast
-                    # signal commits run in topological rank order, so each
-                    # combinational wave settles in a single glitch-free
-                    # pass (a rank-r method only marks ranks > r, which this
-                    # same forward sweep then visits).  The plan proved these
-                    # methods never call next_trigger/kill, so the state and
-                    # pending-trigger bookkeeping of MethodProcess._execute
-                    # is skipped and _fn is called directly.
+                while runnable:
+                    process = runnable.popleft()
                     executed = True
-                    ran = 0
-                    terminated = ProcessState.TERMINATED
-                    for bucket in self._pending_buckets:
-                        if bucket:
-                            for process in bucket:
-                                process._queued = False
-                                if process.state is terminated:
-                                    continue  # killed between initialize and run
-                                ran += 1
-                                self.current_process = process
-                                try:
-                                    process._fn()
-                                except Exception as exc:
-                                    process._terminate()
-                                    raise ProcessError(
-                                        process.name,
-                                        f"{type(exc).__name__}: {exc}",
-                                    ) from exc
-                            bucket.clear()
-                    stats.process_executions += ran
-                    self._pending_count = 0
+                    stats.process_executions += 1
+                    self.current_process = process
+                    process._execute()
+                    if (
+                        wall_deadline is not None
+                        and (stats.process_executions & 0xFF) == 0
+                        and time.monotonic() >= wall_deadline
+                    ):
+                        self._trip_watchdog(max_wall_s)
+                    if self._stop_requested:
+                        break
                 if self._stop_requested:
                     break
                 if executed:
@@ -483,12 +364,7 @@ class Simulator:
                         now_obj = self.now
                         for hook in self.trace_hooks:
                             hook(now_obj)
-                        if (
-                            runnable
-                            or self._update_queue
-                            or self._delta_events
-                            or self._pending_count
-                        ):
+                        if runnable or self._update_queue or self._delta_events:
                             continue  # a hook injected activity at this instant
                 # Timed notification phase.
                 deltas_this_instant = 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bus import Bus, Memory
 from repro.bus.interfaces import BusSlaveIf
-from repro.kernel import ProcessError, SimulationError, Simulator, ns, us
+from repro.kernel import Fifo, ProcessError, SimulationError, Simulator, ns, us
 from tests.conftest import drive
 
 
@@ -157,6 +157,34 @@ class TestContention:
         sim.spawn("urgent", master("urgent", 2))
         sim.run()
         assert order == ["holder", "urgent", "bulk"]
+
+    def test_producer_consumer_over_fifo_and_bus(self, sim):
+        # Two masters hand addresses through a FIFO and move the data over
+        # the arbitrated bus: every word written is read back exactly once.
+        bus, mem = make_system(sim)
+        fifo = Fifo(sim, capacity=4, name="addrs")
+        n = 12
+        checksum = []
+
+        def producer():
+            for i in range(n):
+                yield from bus.write(0x1000 + i * 4, i * 7 + 1, master="producer")
+                yield from fifo.put(0x1000 + i * 4)
+
+        def consumer():
+            total = 0
+            for _ in range(n):
+                addr = yield from fifo.get()
+                data = yield from bus.read(addr, 1, master="consumer")
+                total += data[0]
+            checksum.append(total)
+
+        sim.spawn("producer", producer)
+        sim.spawn("consumer", consumer)
+        sim.run()
+        assert checksum == [sum(i * 7 + 1 for i in range(n))]
+        assert mem.peek(0x1000, n) == [i * 7 + 1 for i in range(n)]
+        assert bus.monitor.transaction_count == 2 * n
 
 
 class TestSplitProtocol:

@@ -55,6 +55,8 @@ class TestGraphConstruction:
         graph.add("d", compute_task(1), deps=["b", "c"])
         weights = {"a": 1.0, "b": 10.0, "c": 1.0, "d": 1.0}
         assert graph.critical_path(weights) == ["a", "b", "d"]
+        # Equal weights: the tie between b and c goes to the earlier-added b.
+        assert graph.critical_path(dict.fromkeys("abcd", 1.0)) == ["a", "b", "d"]
 
 
 class TestExecution:

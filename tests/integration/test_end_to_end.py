@@ -1,5 +1,7 @@
 """Full-system integration: both Figure 1 architectures on real workloads."""
 
+import hashlib
+
 import pytest
 
 from repro.apps import (
@@ -11,7 +13,7 @@ from repro.apps import (
     make_reconfigurable_netlist,
     switch_count_lower_bound,
 )
-from repro.kernel import Simulator
+from repro.kernel import Simulator, signals_of
 from repro.tech import MORPHOSYS, VARICORE, VIRTEX2PRO
 
 ACCELS = ("fir", "fft", "viterbi", "xtea")
@@ -135,3 +137,40 @@ class TestDeterminism:
                 )
             )
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_baseline_netlist, lambda a: make_reconfigurable_netlist(a, tech=VIRTEX2PRO)],
+        ids=["baseline", "drcf"],
+    )
+    def test_signal_trace_is_deterministic(self, make):
+        # Every signal in the hierarchy, sampled once per finished instant,
+        # must hash the same on a rerun, with the same kernel counters.
+        accels = ("fir", "xtea")
+        jobs = frame_interleaved_jobs(accels, n_frames=1, seed=7)
+        runs = []
+        for _ in range(2):
+            netlist, info = make(accels)
+            sim = Simulator()
+            design = netlist.elaborate(sim)
+            runner = JobRunner(info.accel_bases, info.buffer_words)
+            design["cpu"].run_task(runner.task(jobs), name="workload")
+            signals = [
+                (f"{module.full_name}.{attr}", sig)
+                for module in (design.top, *design.top.descendants())
+                for attr, sig in sorted(signals_of(module).items())
+            ]
+            digest = hashlib.sha256()
+            sim.trace_hooks.append(
+                lambda now: digest.update(
+                    (f"{now.femtoseconds}|" + "|".join(
+                        f"{name}={sig.read()!r}" for name, sig in signals
+                    )).encode()
+                )
+            )
+            sim.run()
+            assert [r.outputs for r in runner.results] == [
+                golden_outputs(r.spec) for r in runner.results
+            ]
+            runs.append((digest.hexdigest(), sim.now, sim.stats.as_dict()))
+        assert runs[0] == runs[1]

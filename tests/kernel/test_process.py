@@ -8,6 +8,7 @@ from repro.kernel import (
     AnyOf,
     Event,
     Module,
+    Mutex,
     ProcessError,
     ProcessState,
     SchedulingError,
@@ -133,6 +134,19 @@ class TestProcessLifecycle:
         sim.spawn("broken", body)
         with pytest.raises(ProcessError, match="broken.*ValueError: boom"):
             sim.run()
+
+    def test_exception_after_lock_is_process_error(self, sim):
+        mutex = Mutex(sim, "m")
+
+        def body():
+            yield from mutex.lock("w")
+            yield ns(5)
+            raise ValueError("boom after lock")
+
+        sim.spawn("worker", body)
+        with pytest.raises(ProcessError, match="worker.*ValueError: boom after lock"):
+            sim.run()
+        assert sim.now == ns(5)
 
     def test_kill_prevents_execution(self, sim):
         ran = []

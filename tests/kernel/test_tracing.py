@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.kernel import Signal, TimelineRecorder, VcdTracer, ns
+from repro.kernel import Signal, Simulator, TimelineRecorder, VcdTracer, ns, signals_of
+from tests.kernel.test_simulator import _Chain
 
 
 class TestVcdTracer:
@@ -82,6 +83,28 @@ class TestVcdTracer:
     def test_vector_value_masked_to_width(self):
         # A value wider than the declared width is truncated, not emitted raw.
         assert VcdTracer._format_change("!", 0x1F3, 8).startswith("b11110011 ")
+
+
+class TestVcdOfModuleHierarchy:
+    def _dump(self):
+        sim = Simulator()
+        top = _Chain("chain", sim)
+        tracer = VcdTracer("chain")
+        traced = {}  # identity-deduped: each stage aliases its source signal
+        for module in (top, *top.descendants()):
+            for attr, sig in sorted(signals_of(module).items()):
+                traced.setdefault(id(sig), (f"{module.full_name}.{attr}", sig))
+        for name, sig in traced.values():
+            tracer.trace(sig, name=name, width=8)
+        sim.run()
+        return top, tracer.dumps()
+
+    def test_one_var_per_distinct_signal(self):
+        top, text = self._dump()
+        assert text.count("$var") == 1 + top.depth  # head + stage outputs
+
+    def test_dump_is_deterministic(self):
+        assert self._dump()[1] == self._dump()[1]
 
 
 class TestTimelineRecorder:
