@@ -253,7 +253,12 @@ def _is_bus_transport(obj: object, method: str) -> bool:
         from ..bus.memory import Memory
     except ImportError:  # pragma: no cover - kernel without the bus layer
         return False
-    return isinstance(obj, (Bus, Memory)) and method in ("read", "write")
+    return isinstance(obj, (Bus, Memory)) and method in (
+        "read",
+        "write",
+        "read_train",
+        "read_timing",
+    )
 
 
 def lock_order_trace(process: object) -> LockTrace:

@@ -66,6 +66,15 @@ class Arbiter:
         """Labels currently queued, in request order."""
         return [label for label, _, _, _ in self._queue]
 
+    def idle_for(self, label: str) -> bool:
+        """Would ``label`` be granted at once, by an arbiter that knows it?
+
+        True when nobody owns or waits for the arbiter and ``label`` has
+        requested before (so a grant would not change the round-robin
+        order).  The bus asks this before coalescing a fetch train.
+        """
+        return self.owner is None and not self._queue and label in self._rr_order
+
     def try_acquire(self, label: str) -> bool:
         """Non-blocking acquire: take ownership iff uncontended.
 

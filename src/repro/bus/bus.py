@@ -35,6 +35,7 @@ from .interfaces import (
     check_range,
     normalize_write_data,
 )
+from .memory import Memory
 from .monitor import BusMonitor
 
 #: Supported bus protocols.
@@ -185,6 +186,130 @@ class Bus(Module, BusMasterIf):
         words = normalize_write_data(data)
         return self._transfer("write", addr, len(words), words, master, tags)
 
+    def read_train(
+        self,
+        addr: int,
+        n_words: int,
+        burst_words: int,
+        master: str = "?",
+        tags: Sequence[str] = (),
+        *,
+        word_bytes: int = 4,
+        content: bool = True,
+    ):
+        """Read ``n_words`` from ``addr`` as back-to-back bursts (generator).
+
+        With ``content`` the words come back through one :meth:`read` per
+        burst.  Without it the train is content-free: each burst asks the
+        slave for timing only (:meth:`BusSlaveIf.read_timing`), and while
+        nothing else can act, runs of bursts to a :class:`Memory` are
+        coalesced into one timed wait whose monitor records, arbiter grants
+        and memory bookkeeping equal the per-burst ones exactly.
+        """
+        if content:
+            return super().read_train(
+                addr, n_words, burst_words, master, tags, word_bytes=word_bytes
+            )
+        if n_words > 0 and burst_words <= 0:
+            raise SimulationError("burst read count must be positive")
+        return self._timing_train(addr, n_words, burst_words, master, tags, word_bytes)
+
+    # -- content-free fetch trains ------------------------------------------------------
+    def _timing_train(self, addr, n_words, burst_words, master, tags, word_bytes):
+        while n_words > 0:
+            window = self._quiet_window(addr, n_words, burst_words, master, word_bytes)
+            if window is None:
+                chunk = min(burst_words, n_words)
+                yield from self._transfer(
+                    "read", addr, chunk, None, master, tags, timing_only=True
+                )
+            else:
+                slave, bursts = window
+                yield from self._coalesced(slave, bursts, master, tags)
+                chunk = sum(count for _, count, _ in bursts)
+            addr += chunk * word_bytes
+            n_words -= chunk
+
+    def _quiet_window(self, addr, n_words, burst_words, master, word_bytes):
+        """The leading bursts of a content-free train that may coalesce.
+
+        Returns ``(memory, [(addr, words, end_fs), ...])``, or None when
+        even the first burst must go per-burst.  A burst joins the window
+        while it ends strictly before the kernel's next timed action and
+        not past the run's ``until``; the window needs a quiet kernel
+        (:meth:`Simulator.quiet_until_fs`), an idle arbiter that already
+        knows ``master``, no monitor listener, and a :class:`Memory`
+        slave with no fault hook that holds every burst of the window.
+        """
+        if self.monitor.listeners or not self.arbiter.idle_for(master):
+            return None
+        limit = self.sim.quiet_until_fs()
+        if limit is None:
+            return None
+        slave = self.decode(addr)
+        if (
+            not isinstance(slave, Memory)
+            or slave.fault_hook is not None
+            or word_bytes != slave.word_bytes
+        ):
+            return None
+        chunk = min(burst_words, n_words)
+        burst_fs = self._burst_fs(slave, chunk)
+        end_fs = self.sim.now.femtoseconds + burst_fs
+        if end_fs > limit:
+            return None
+        bursts = []
+        words = 0
+        while True:
+            bursts.append((addr + words * word_bytes, chunk, end_fs))
+            words += chunk
+            if words == n_words:
+                break
+            if n_words - words < chunk:
+                chunk = n_words - words
+                burst_fs = self._burst_fs(slave, chunk)
+            if end_fs + burst_fs > limit:
+                break
+            end_fs += burst_fs
+        try:
+            slave._index(addr, words)
+        except SimulationError:
+            return None  # the per-burst path raises it at the right time
+        return slave, bursts
+
+    def _burst_fs(self, memory: Memory, count: int) -> int:
+        """Femtoseconds an uncontended ``count``-word read of ``memory`` takes.
+
+        The sum of the per-burst path's waits, each rounded on its own.
+        """
+        fs = (
+            self.cycles(self.address_phase_cycles).femtoseconds
+            + memory._burst_time(count).femtoseconds
+            + self.cycles(count * self.cycles_per_word).femtoseconds
+        )
+        if self.protocol == "split":
+            fs += self.cycles(1).femtoseconds  # request transfer beat
+        return fs
+
+    def _coalesced(self, memory: Memory, bursts, master, tags):
+        """One timed wait over ``bursts``, then their per-burst effects."""
+        sim = self.sim
+        start = sim.now
+        yield SimTime.from_fs(bursts[-1][2] - start.femtoseconds)
+        last = len(bursts) - 1
+        record = self.monitor.record
+        name = self._slave_name(memory)
+        for i, (addr, count, end_fs) in enumerate(bursts):
+            end = sim.now if i == last else SimTime.from_fs(end_fs)
+            memory._settle_read(addr, count)
+            record(
+                Transaction(
+                    "read", master, name, addr, count, start, start, end, list(tags), "ok"
+                )
+            )
+            start = end
+        self.arbiter.grant_count += len(bursts) * (2 if self.protocol == "split" else 1)
+
     # -- core transfer ----------------------------------------------------------------
     def _transfer(
         self,
@@ -194,6 +319,7 @@ class Bus(Module, BusMasterIf):
         payload: Optional[List[int]],
         master: str,
         tags: Sequence[str],
+        timing_only: bool = False,
     ):
         sim = self.sim
         issued_at = sim.now
@@ -216,7 +342,9 @@ class Bus(Module, BusMasterIf):
             yield self.cycles(self.address_phase_cycles)
             if self.protocol == "blocking":
                 if kind == "read":
-                    data = yield from slave.read(addr, count)
+                    data = yield from (
+                        slave.read_timing if timing_only else slave.read
+                    )(addr, count)
                 else:
                     yield from slave.write(
                         addr, payload if len(payload) > 1 else payload[0]
@@ -227,7 +355,9 @@ class Bus(Module, BusMasterIf):
                 yield self.cycles(1)  # request transfer beat
                 arbiter.release(master)
                 if kind == "read":
-                    data = yield from slave.read(addr, count)
+                    data = yield from (
+                        slave.read_timing if timing_only else slave.read
+                    )(addr, count)
                 else:
                     yield from slave.write(
                         addr, payload if len(payload) > 1 else payload[0]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..kernel import Interface, SimTime
 
@@ -50,6 +50,16 @@ class BusSlaveIf(Interface):
     def write(self, addr: int, data: Union[int, Sequence[int]]):
         """Blocking burst write (generator). Returns True on success."""
 
+    def read_timing(self, addr: int, count: int = 1):
+        """Burst read that pays :meth:`read`'s cost but returns no words (generator).
+
+        Callers that need only the timing and side effects of a read (a
+        configuration fetch nobody checks) use this.  The default performs
+        :meth:`read` and drops the words; slaves that can skip building
+        them (:class:`~repro.bus.memory.Memory`) override it.
+        """
+        yield from self.read(addr, count)
+
 
 class BusMasterIf(Interface):
     """Interface a bus presents to its masters.
@@ -60,12 +70,50 @@ class BusMasterIf(Interface):
     """
 
     @abc.abstractmethod
-    def read(self, addr: int, count: int = 1, master: str = "?"):
+    def read(
+        self, addr: int, count: int = 1, master: str = "?", tags: Sequence[str] = ()
+    ):
         """Arbitrate, decode and perform a burst read (generator)."""
 
     @abc.abstractmethod
-    def write(self, addr: int, data: Union[int, Sequence[int]], master: str = "?"):
+    def write(
+        self,
+        addr: int,
+        data: Union[int, Sequence[int]],
+        master: str = "?",
+        tags: Sequence[str] = (),
+    ):
         """Arbitrate, decode and perform a burst write (generator)."""
+
+    def read_train(
+        self,
+        addr: int,
+        n_words: int,
+        burst_words: int,
+        master: str = "?",
+        tags: Sequence[str] = (),
+        *,
+        word_bytes: int = 4,
+        content: bool = True,
+    ):
+        """Read ``n_words`` from ``addr`` as back-to-back bursts (generator).
+
+        Bursts carry at most ``burst_words`` words each and advance the
+        address by ``word_bytes`` per word.  Returns the words in order, or
+        None when ``content`` is false: the caller then wants only the
+        train's timing and traffic.  This default issues one :meth:`read`
+        per burst; :class:`~repro.bus.Bus` overrides it with a
+        content-free, burst-coalescing fast path.
+        """
+        words: Optional[List[int]] = [] if content else None
+        while n_words > 0:
+            chunk = min(burst_words, n_words)
+            data = yield from self.read(addr, chunk, master=master, tags=tags)
+            if words is not None:
+                words.extend(data)
+            addr += chunk * word_bytes
+            n_words -= chunk
+        return words
 
 
 class InterruptIf(Interface):

@@ -22,6 +22,8 @@ from .interfaces import BusSlaveIf, normalize_write_data
 #: FNV-1a offset/prime (32-bit) for bitstream checksums.
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
+_WORD_MASK = 0xFFFFFFFF
+_MODULUS = 1 << 32
 
 
 def region_checksum(words) -> int:
@@ -120,6 +122,29 @@ class Memory(Module, BusSlaveIf):
             data = hook.on_memory_read(self, addr, count, data)
         return data
 
+    def read_timing(self, addr: int, count: int = 1):
+        """Burst read that returns no words (generator).
+
+        Same bounds check, burst time and bookkeeping as :meth:`read`, so
+        a fetch nobody checks costs no word list.  An armed
+        :attr:`fault_hook` sees the words of every read, so with one armed
+        this is a plain :meth:`read`.
+        """
+        if self.fault_hook is not None:
+            yield from self.read(addr, count)
+            return
+        self._index(addr, count)
+        yield self._burst_time(count)
+        self._settle_read(addr, count)
+
+    def _settle_read(self, addr: int, count: int) -> None:
+        """Bookkeeping of a finished :meth:`read_timing` burst.
+
+        The bus calls this directly, burst by burst, when it coalesces a
+        fetch train into one timed wait.
+        """
+        self.read_word_count += count
+
     def write(self, addr: int, data: Union[int, Sequence[int]]):
         """Burst write (generator); returns True."""
         if type(data) is int:  # scalar single-word write: skip normalization
@@ -207,8 +232,29 @@ class ConfigMemory(Memory):
         return lo, lo + max(1, -(-size_bytes // self.word_bytes))
 
     def _compute_checksum(self, addr: int, size_bytes: int) -> int:
+        """:func:`region_checksum` of the region's current words.
+
+        With a zero fill, only the explicitly stored words are visited: an
+        FNV-1a step over a zero word is a multiply by the prime, so a run
+        of ``n`` fill words is one multiply by the prime's ``n``-th power.
+        """
         words = max(1, -(-size_bytes // self.word_bytes))
-        return region_checksum(self.peek(addr, words))
+        if self.fill & _WORD_MASK:
+            return region_checksum(self.peek(addr, words))
+        lo = self._index(addr, words)
+        hi = lo + words
+        store = self._store
+        value = _FNV_OFFSET
+        pos = lo
+        for index in sorted(i for i in store if lo <= i < hi):
+            if index > pos:
+                value = (value * pow(_FNV_PRIME, index - pos, _MODULUS)) & _WORD_MASK
+            value ^= store[index] & _WORD_MASK
+            value = (value * _FNV_PRIME) & _WORD_MASK
+            pos = index + 1
+        if hi > pos:
+            value = (value * pow(_FNV_PRIME, hi - pos, _MODULUS)) & _WORD_MASK
+        return value
 
     def region_of(self, context_name: str) -> Tuple[int, int]:
         """The (address, size) registered for ``context_name``."""
@@ -298,13 +344,25 @@ class ConfigMemory(Memory):
 
     def read(self, addr: int, count: int = 1):
         data = yield from super().read(addr, count)
+        if self._consume_transient_error(addr):
+            data = list(data)
+            data[0] ^= 0x1  # single flipped bit in the first word
+        return data
+
+    def _settle_read(self, addr: int, count: int) -> None:
+        super()._settle_read(addr, count)
+        self._consume_transient_error(addr)
+
+    def _consume_transient_error(self, addr: int) -> bool:
+        """Use up one pending transient error of the region at ``addr``."""
+        if not self._transient_errors:
+            return False
         region = self.context_for_address(addr)
         if region is not None and self._transient_errors.get(region, 0) > 0:
             self._transient_errors[region] -= 1
             self.injected_errors += 1
-            data = list(data)
-            data[0] ^= 0x1  # single flipped bit in the first word
-        return data
+            return True
+        return False
 
     def context_for_address(self, addr: int) -> Optional[str]:
         """Which registered region (if any) contains ``addr``."""

@@ -341,8 +341,10 @@ class Drcf(Module, BusSlaveIf):
         with backoff, the fetch timeout against wedged transfers, and the
         degraded-mode fallback when retries run out.  A fault injector may
         perturb the path through :attr:`fault_hook` (stuck transfers,
-        truncated bitstreams); with no hook armed and verification off the
-        path is exactly the plain burst loop.
+        truncated bitstreams).  With no hook armed and verification off
+        nothing reads the fetched words, so the fetch is content-free: the
+        bus moves the same bursts in the same simulated time without
+        building the words (see :meth:`~repro.bus.Bus.read_train`).
         """
         size_bytes = n_words * self.word_bytes
         if self.config_cache is not None and self.config_cache.lookup(context_name):
@@ -394,20 +396,17 @@ class Drcf(Module, BusSlaveIf):
                     # No timeout armed (or it is longer than the wedge):
                     # the transfer simply stalls for the fault's duration.
                     yield stuck
-            bitstream = []
-            remaining = n_words
-            addr = config_addr
-            while remaining > 0:
-                chunk = min(self.config_burst_words, remaining)
-                data = yield from self.mst_port.read(
-                    addr,
-                    chunk,
-                    master=self.full_name,
-                    tags=["config", context_name],
-                )
-                bitstream.extend(data)
-                addr += chunk * self.word_bytes
-                remaining -= chunk
+            # Content-free when nothing will look at the words: the bus
+            # then moves the same traffic without building them.
+            bitstream = yield from self.mst_port.read_train(
+                config_addr,
+                n_words,
+                self.config_burst_words,
+                master=self.full_name,
+                tags=["config", context_name],
+                word_bytes=self.word_bytes,
+                content=hook is not None or truth is not None,
+            )
             total_fetched += n_words
             if hook is not None:
                 bitstream = hook.filter_bitstream(

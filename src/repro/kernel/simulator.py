@@ -34,6 +34,7 @@ effects are visible when the hooks fire at the next instant.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
@@ -129,6 +130,10 @@ class Simulator:
         #: — e.g. :attr:`Signal.write_hook` — attribute an action to the
         #: process that performed it.
         self.current_process: Optional[Process] = None
+        # Latest femtosecond the running ``run()`` may reach (its ``until``
+        # bound, ``math.inf`` without one); None outside a run and during
+        # a watchdog-guarded run.  Read by :meth:`quiet_until_fs`.
+        self._decoupling_cap = None
 
     # -- time --------------------------------------------------------------
     @property
@@ -294,6 +299,10 @@ class Simulator:
             time.monotonic() + max_wall_s if max_wall_s is not None else None
         )
         until_fs = until.femtoseconds if until is not None else None
+        # A watchdog may stop the run at any host moment, so no window of
+        # time may be planned past the current instant under one.
+        if max_wall_s is None:
+            self._decoupling_cap = math.inf if until_fs is None else until_fs
         deltas_this_instant = 0
         instant_active = False  # anything happened at the current instant?
         hooks_fired = False  # trace hooks already ran at the current instant?
@@ -396,6 +405,7 @@ class Simulator:
                     action.callback()
         finally:
             self._running = False
+            self._decoupling_cap = None
             self.current_process = None
         if error_on_deadlock and not self._stop_requested:
             blocked = self.blocked_processes()
@@ -405,6 +415,36 @@ class Simulator:
                     f"simulation starved at {self.now} with blocked processes: {names}"
                 )
         return self.now
+
+    def quiet_until_fs(self) -> Optional[float]:
+        """How far the running process may advance time with nothing else acting.
+
+        The temporal-decoupling query behind the bus's coalesced
+        configuration fetch.  Returns None unless the simulation is quiet
+        apart from the caller: no other process runnable, no update or
+        delta notification pending, no stop requested, no trace hook
+        attached, and a ``run()`` without a wall-clock watchdog in
+        progress.  When quiet, returns the latest femtosecond that lies
+        strictly before the earliest pending timed action and not past the
+        run's ``until`` bound (``math.inf`` when neither exists): a single
+        timed wait ending there is indistinguishable from any sequence of
+        waits ending there.  Read-only; O(1).
+        """
+        cap = self._decoupling_cap
+        if (
+            cap is None
+            or self._runnable
+            or self._update_queue
+            or self._delta_events
+            or self._stop_requested
+            or self.trace_hooks
+        ):
+            return None
+        heap = self._timed_heap
+        if heap and heap[0].time_fs <= cap:
+            # A cancelled entry at the top only makes the bound tighter.
+            return heap[0].time_fs - 1
+        return cap
 
     def _trip_watchdog(self, max_wall_s: float) -> None:
         """Stop the run: the wall-clock budget is exhausted.

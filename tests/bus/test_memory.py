@@ -1,9 +1,10 @@
 """Memory models: latency, bounds, sparse backing, config regions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bus import ConfigMemory, Memory
-from repro.kernel import SimulationError, ns
+from repro.bus import ConfigMemory, Memory, region_checksum
+from repro.kernel import SimulationError, Simulator, ns
 from tests.conftest import drive
 
 
@@ -103,3 +104,56 @@ class TestConfigMemory:
         mem = ConfigMemory("cfg", sim=sim, base=0, size_words=16)
         with pytest.raises(KeyError):
             mem.region_of("nope")
+
+
+# A region: (first word, size in bytes), kept inside a 64-word memory.
+_regions = st.tuples(st.integers(0, 63), st.integers(1, 64 * 4)).map(
+    lambda r: (r[0], min(r[1], (64 - r[0]) * 4))
+)
+_pokes = st.lists(
+    st.tuples(st.integers(0, 63), st.integers(-(2**33), 2**33)), max_size=24
+)
+_fills = st.one_of(st.sampled_from([0, 1 << 32, 0xDEAD]), st.integers(0, 2**32))
+# Maintenance steps after registration: ("poke", word, value),
+# ("corrupt", bit offsets) or ("scrub",).
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("poke"), st.integers(0, 63), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("corrupt"), st.lists(st.integers(0, 8 * 4 - 1), min_size=1, max_size=4)),
+        st.tuples(st.just("scrub")),
+    ),
+    max_size=6,
+)
+
+
+class TestRegionChecksum:
+    """The sparse checksum equals the reference FNV-1a over peeked words."""
+
+    BASE = 0x400
+
+    @staticmethod
+    def reference(mem, addr, size_bytes):
+        return region_checksum(mem.peek(addr, max(1, -(-size_bytes // 4))))
+
+    @given(_fills, _pokes, _regions, _steps)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_loop(self, fill, pokes, region, steps):
+        mem = ConfigMemory(
+            "cfg", sim=Simulator(), base=self.BASE, size_words=64, fill=fill
+        )
+        for index, value in pokes:
+            mem.poke(self.BASE + 4 * index, value)
+        first, size_bytes = region
+        addr = self.BASE + 4 * first
+        mem.register_context_region("ctx", addr, size_bytes)
+        assert mem.checksum_of("ctx") == self.reference(mem, addr, size_bytes)
+        for step in steps:
+            if step[0] == "poke":
+                mem.poke(self.BASE + 4 * step[1], step[2])
+            elif step[0] == "corrupt":
+                mem.corrupt_region("ctx", step[1])
+            else:
+                mem.scrub_region("ctx")
+            current = self.reference(mem, addr, size_bytes)
+            assert mem._compute_checksum(addr, size_bytes) == current
+            assert mem.region_is_clean("ctx") == (current == mem.checksum_of("ctx"))

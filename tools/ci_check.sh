@@ -6,7 +6,8 @@
 # Steps:
 #   1. tier-1 test suite
 #   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails)
-#   3. ruff check (skipped with a notice when ruff is not installed)
+#   3. static check: ruff when installed, else a stdlib byte-compile of
+#      every source file (the step says which one ran)
 #   4. static model lint over every example architecture, including the
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
 #      layers (must be clean), plus a wall-clock bound on the analyzers
@@ -25,11 +26,14 @@ python -m pytest tests -q
 echo "== 2/6 kernel throughput check =="
 python tools/bench_kernel.py --check
 
-echo "== 3/6 ruff =="
+echo "== 3/6 static check =="
 if command -v ruff >/dev/null 2>&1; then
+    echo "running: ruff check src tests tools examples"
     ruff check src tests tools examples
 else
-    echo "ruff not installed; skipping (config lives in pyproject.toml)"
+    # Never a silent no-op: without ruff, at least every file must compile.
+    echo "ruff not installed; running stdlib fallback: python -m compileall -q src tests tools examples"
+    python -m compileall -q src tests tools examples
 fi
 
 echo "== 4/6 static model lint over examples/ (dataflow + cfg + interproc layers) =="

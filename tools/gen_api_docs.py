@@ -29,6 +29,16 @@ PACKAGES = [
     "repro.faults",
 ]
 
+#: Methods of public classes that extension code calls directly, listed
+#: after the packages (dotted ``package.Class.method`` paths).
+METHODS = [
+    "repro.kernel.Simulator.quiet_until_fs",
+    "repro.bus.BusMasterIf.read_train",
+    "repro.bus.Bus.read_train",
+    "repro.bus.BusSlaveIf.read_timing",
+    "repro.bus.Memory.read_timing",
+]
+
 
 def _kind(obj) -> str:
     if inspect.isclass(obj):
@@ -76,6 +86,18 @@ def generate() -> str:
             summary = summary.replace("|", "\\|")
             lines.append(f"| `{name}` | {kind} | {summary} |")
         lines.append("")
+    lines.append("## Selected methods")
+    lines.append("")
+    lines.append("| method | signature | summary |")
+    lines.append("|---|---|---|")
+    for path in METHODS:
+        package_name, class_name, method_name = path.rsplit(".", 2)
+        cls = getattr(importlib.import_module(package_name), class_name)
+        method = getattr(cls, method_name)
+        signature = str(inspect.signature(method)).replace("'", "").replace("|", "\\|")
+        summary = _first_line(method).replace("|", "\\|")
+        lines.append(f"| `{class_name}.{method_name}` | `{signature}` | {summary} |")
+    lines.append("")
     return "\n".join(lines) + ""
 
 
