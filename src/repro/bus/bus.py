@@ -199,39 +199,39 @@ class Bus(Module, BusMasterIf):
     ):
         """Read ``n_words`` from ``addr`` as back-to-back bursts (generator).
 
-        With ``content`` the words come back through one :meth:`read` per
-        burst.  Without it the train is content-free: each burst asks the
-        slave for timing only (:meth:`BusSlaveIf.read_timing`), and while
-        nothing else can act, runs of bursts to a :class:`Memory` are
-        coalesced into one timed wait whose monitor records, arbiter grants
-        and memory bookkeeping equal the per-burst ones exactly.
+        Returns the words in order, or None without ``content``: each
+        per-burst transfer then asks the slave for timing only
+        (:meth:`BusSlaveIf.read_timing`).  While nothing else can act,
+        runs of bursts to a :class:`Memory` are coalesced into one timed
+        wait whose words, monitor records, arbiter grants and memory
+        bookkeeping equal the per-burst ones exactly.
         """
-        if content:
-            return super().read_train(
-                addr, n_words, burst_words, master, tags, word_bytes=word_bytes
-            )
         if n_words > 0 and burst_words <= 0:
             raise SimulationError("burst read count must be positive")
-        return self._timing_train(addr, n_words, burst_words, master, tags, word_bytes)
+        return self._train(addr, n_words, burst_words, master, tags, word_bytes, content)
 
-    # -- content-free fetch trains ------------------------------------------------------
-    def _timing_train(self, addr, n_words, burst_words, master, tags, word_bytes):
+    # -- fetch trains ----------------------------------------------------------------
+    def _train(self, addr, n_words, burst_words, master, tags, word_bytes, content):
+        words: Optional[List[int]] = [] if content else None
         while n_words > 0:
             window = self._quiet_window(addr, n_words, burst_words, master, word_bytes)
             if window is None:
                 chunk = min(burst_words, n_words)
-                yield from self._transfer(
-                    "read", addr, chunk, None, master, tags, timing_only=True
+                data = yield from self._transfer(
+                    "read", addr, chunk, None, master, tags, timing_only=not content
                 )
+                if content:
+                    words += data
             else:
                 slave, bursts = window
-                yield from self._coalesced(slave, bursts, master, tags)
+                yield from self._coalesced(slave, bursts, master, tags, words)
                 chunk = sum(count for _, count, _ in bursts)
             addr += chunk * word_bytes
             n_words -= chunk
+        return words
 
     def _quiet_window(self, addr, n_words, burst_words, master, word_bytes):
-        """The leading bursts of a content-free train that may coalesce.
+        """The leading bursts of a fetch train that may coalesce.
 
         Returns ``(memory, [(addr, words, end_fs), ...])``, or None when
         even the first burst must go per-burst.  A burst joins the window
@@ -291,9 +291,15 @@ class Bus(Module, BusMasterIf):
             fs += self.cycles(1).femtoseconds  # request transfer beat
         return fs
 
-    def _coalesced(self, memory: Memory, bursts, master, tags):
-        """One timed wait over ``bursts``, then their per-burst effects."""
+    def _coalesced(self, memory: Memory, bursts, master, tags, words):
+        """One timed wait over ``bursts``, then their per-burst effects.
+
+        Appends the bursts' words to ``words`` unless it is None.  Reading
+        them at the window's end is exact: nothing else acts inside the
+        window, so the store holds what each burst would have read.
+        """
         sim = self.sim
+        content = words is not None
         start = sim.now
         yield SimTime.from_fs(bursts[-1][2] - start.femtoseconds)
         last = len(bursts) - 1
@@ -301,7 +307,9 @@ class Bus(Module, BusMasterIf):
         name = self._slave_name(memory)
         for i, (addr, count, end_fs) in enumerate(bursts):
             end = sim.now if i == last else SimTime.from_fs(end_fs)
-            memory._settle_read(addr, count)
+            data = memory._settle_read(addr, count, content)
+            if content:
+                words += data
             record(
                 Transaction(
                     "read", master, name, addr, count, start, start, end, list(tags), "ok"

@@ -103,7 +103,7 @@ class BusMasterIf(Interface):
         None when ``content`` is false: the caller then wants only the
         train's timing and traffic.  This default issues one :meth:`read`
         per burst; :class:`~repro.bus.Bus` overrides it with a
-        content-free, burst-coalescing fast path.
+        burst-coalescing fast path.
         """
         words: Optional[List[int]] = [] if content else None
         while n_words > 0:

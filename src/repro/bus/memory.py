@@ -14,7 +14,8 @@ region can be asserted against in tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..kernel import Module, SimulationError, cycles_to_time
 from .interfaces import BusSlaveIf, normalize_write_data
@@ -27,11 +28,35 @@ _MODULUS = 1 << 32
 
 
 def region_checksum(words) -> int:
-    """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in."""
+    """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in.
+
+    Only nonzero words are visited (see :func:`_fnv_sparse`): fetched
+    bitstreams are mostly fill.
+    """
+    if not isinstance(words, list):
+        words = list(words)
+    n = len(words)
+    return _fnv_sparse(((i, words[i]) for i in compress(range(n), words)), n)
+
+
+def _fnv_sparse(items: Iterable[Tuple[int, int]], length: int) -> int:
+    """FNV-1a over ``length`` words that are zero except at ``items``.
+
+    ``items`` yields ``(position, word)`` pairs in ascending position
+    order.  An FNV-1a step over a zero word is a multiply by the prime, so
+    a run of ``n`` zero words is one multiply by the prime's ``n``-th
+    power.
+    """
     value = _FNV_OFFSET
-    for word in words:
-        value ^= word & 0xFFFFFFFF
-        value = (value * _FNV_PRIME) & 0xFFFFFFFF
+    pos = 0
+    for index, word in items:
+        if index > pos:
+            value = (value * pow(_FNV_PRIME, index - pos, _MODULUS)) & _WORD_MASK
+        value ^= word & _WORD_MASK
+        value = (value * _FNV_PRIME) & _WORD_MASK
+        pos = index + 1
+    if length > pos:
+        value = (value * pow(_FNV_PRIME, length - pos, _MODULUS)) & _WORD_MASK
     return value
 
 
@@ -113,10 +138,7 @@ class Memory(Module, BusSlaveIf):
         index = self._index(addr, count)
         yield self._burst_time(count)
         self.read_word_count += count
-        if count == 1:
-            data = [self._store.get(index, self.fill)]
-        else:
-            data = [self._store.get(index + i, self.fill) for i in range(count)]
+        data = self._words(index, count)
         hook = self.fault_hook
         if hook is not None:
             data = hook.on_memory_read(self, addr, count, data)
@@ -135,15 +157,36 @@ class Memory(Module, BusSlaveIf):
             return
         self._index(addr, count)
         yield self._burst_time(count)
-        self._settle_read(addr, count)
+        self._settle_read(addr, count, False)
 
-    def _settle_read(self, addr: int, count: int) -> None:
-        """Bookkeeping of a finished :meth:`read_timing` burst.
+    def _settle_read(self, addr: int, count: int, content: bool) -> Optional[List[int]]:
+        """Bookkeeping of a finished burst read; its words when ``content``.
 
-        The bus calls this directly, burst by burst, when it coalesces a
-        fetch train into one timed wait.
+        :meth:`read_timing` ends with this, and the bus calls it directly,
+        burst by burst, when it coalesces a fetch train into one timed
+        wait.  Only valid with no :attr:`fault_hook` armed (with one, every
+        burst goes through :meth:`read`).
         """
         self.read_word_count += count
+        if content:
+            return self._words((addr - self.base) // self.word_bytes, count)
+        return None
+
+    def _words(self, index: int, count: int) -> List[int]:
+        """The ``count`` stored words from word ``index`` on."""
+        store = self._store
+        if count == 1:
+            return [store.get(index, self.fill)]
+        if len(store) < count:
+            # Sparse store: fill words, overlaid with the stored ones.
+            data = [self.fill] * count
+            for i, word in store.items():
+                offset = i - index
+                if 0 <= offset < count:
+                    data[offset] = word
+            return data
+        fill = self.fill
+        return [store.get(i, fill) for i in range(index, index + count)]
 
     def write(self, addr: int, data: Union[int, Sequence[int]]):
         """Burst write (generator); returns True."""
@@ -171,8 +214,7 @@ class Memory(Module, BusSlaveIf):
 
     def peek(self, addr: int, count: int = 1) -> List[int]:
         """Read words without consuming simulated time (test-bench backdoor)."""
-        index = self._index(addr, count)
-        return [self._store.get(index + i, self.fill) for i in range(count)]
+        return self._words(self._index(addr, count), count)
 
     def _index(self, addr: int, count: int) -> int:
         if addr % self.word_bytes:
@@ -234,9 +276,7 @@ class ConfigMemory(Memory):
     def _compute_checksum(self, addr: int, size_bytes: int) -> int:
         """:func:`region_checksum` of the region's current words.
 
-        With a zero fill, only the explicitly stored words are visited: an
-        FNV-1a step over a zero word is a multiply by the prime, so a run
-        of ``n`` fill words is one multiply by the prime's ``n``-th power.
+        With a zero fill, only the explicitly stored words are visited.
         """
         words = max(1, -(-size_bytes // self.word_bytes))
         if self.fill & _WORD_MASK:
@@ -244,17 +284,10 @@ class ConfigMemory(Memory):
         lo = self._index(addr, words)
         hi = lo + words
         store = self._store
-        value = _FNV_OFFSET
-        pos = lo
-        for index in sorted(i for i in store if lo <= i < hi):
-            if index > pos:
-                value = (value * pow(_FNV_PRIME, index - pos, _MODULUS)) & _WORD_MASK
-            value ^= store[index] & _WORD_MASK
-            value = (value * _FNV_PRIME) & _WORD_MASK
-            pos = index + 1
-        if hi > pos:
-            value = (value * pow(_FNV_PRIME, hi - pos, _MODULUS)) & _WORD_MASK
-        return value
+        return _fnv_sparse(
+            ((i - lo, store[i]) for i in sorted(i for i in store if lo <= i < hi)),
+            words,
+        )
 
     def region_of(self, context_name: str) -> Tuple[int, int]:
         """The (address, size) registered for ``context_name``."""
@@ -349,9 +382,11 @@ class ConfigMemory(Memory):
             data[0] ^= 0x1  # single flipped bit in the first word
         return data
 
-    def _settle_read(self, addr: int, count: int) -> None:
-        super()._settle_read(addr, count)
-        self._consume_transient_error(addr)
+    def _settle_read(self, addr: int, count: int, content: bool) -> Optional[List[int]]:
+        data = super()._settle_read(addr, count, content)
+        if self._consume_transient_error(addr) and content:
+            data[0] ^= 0x1  # as read() flips it
+        return data
 
     def _consume_transient_error(self, addr: int) -> bool:
         """Use up one pending transient error of the region at ``addr``."""

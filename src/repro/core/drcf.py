@@ -223,13 +223,17 @@ class Drcf(Module, BusSlaveIf):
                     continue
                 words = context.params.config_words(self.word_bytes)
                 start = self.sim.now
-                data = yield from self.mst_port.read(
+                # One-burst sampling read: integrity is checked via the
+                # memory, so the words themselves are not needed.
+                yield from self.mst_port.read_train(
                     context.params.config_addr,
                     min(words, self.config_burst_words),
+                    self.config_burst_words,
                     master=self.full_name,
                     tags=["scrub", context.name],
+                    word_bytes=self.word_bytes,
+                    content=False,
                 )
-                del data  # sampling read: integrity is checked via the memory
                 memory = self.config_memory
                 if memory is None or not hasattr(memory, "region_is_clean"):
                     continue

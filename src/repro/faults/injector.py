@@ -8,7 +8,9 @@ design by setting three hook attributes —
   and :meth:`FaultInjector.filter_bitstream` (truncated transfers) act on
   configuration fetches;
 * ``Memory.fault_hook`` → :meth:`FaultInjector.on_memory_read` corrupts
-  burst reads in flight (transient bus errors);
+  burst reads in flight (transient bus errors); set only when a
+  ``bus_transient`` spec is armed, since it passes every other read
+  through untouched and an armed memory hook keeps fetches per-burst;
 * ``ContextScheduler.fault_hook`` → :meth:`FaultInjector.on_switch_begin`
   observes the context schedule (event log / time-window triggers);
 
@@ -69,9 +71,10 @@ class FaultInjector:
     def attach(self, sim, design, info) -> None:
         """Hook an elaborated design (SoC template ``info`` address map).
 
-        Sets the three fault-hook attributes and spawns the timed-upset
-        daemon when any ``bitflip`` is armed.  Safe to call with no specs
-        armed (the hooks then never fire).
+        Sets the DRCF and scheduler fault hooks, the configuration
+        memory's when any ``bus_transient`` is armed, and spawns the
+        timed-upset daemon when any ``bitflip`` is armed.  Safe to call
+        with no specs armed (the hooks then never fire).
         """
         if self._attached:
             raise SimulationError("injector already attached")
@@ -89,8 +92,10 @@ class FaultInjector:
                 )
         drcf.fault_hook = self
         drcf.scheduler.fault_hook = self
-        memory.fault_hook = self
-        if any(spec.kind == "bitflip" for spec in self.specs):
+        kinds = {spec.kind for spec in self.specs}
+        if "bus_transient" in kinds:
+            memory.fault_hook = self
+        if "bitflip" in kinds:
             sim.spawn("fault_injector.timed", self._timed_upsets, daemon=True)
 
     # -- timed upsets (bitflip) ---------------------------------------------

@@ -131,8 +131,8 @@ class Simulator:
         #: process that performed it.
         self.current_process: Optional[Process] = None
         # Latest femtosecond the running ``run()`` may reach (its ``until``
-        # bound, ``math.inf`` without one); None outside a run and during
-        # a watchdog-guarded run.  Read by :meth:`quiet_until_fs`.
+        # bound, ``math.inf`` without one); None outside a run.  Read by
+        # :meth:`quiet_until_fs`.
         self._decoupling_cap = None
 
     # -- time --------------------------------------------------------------
@@ -299,10 +299,7 @@ class Simulator:
             time.monotonic() + max_wall_s if max_wall_s is not None else None
         )
         until_fs = until.femtoseconds if until is not None else None
-        # A watchdog may stop the run at any host moment, so no window of
-        # time may be planned past the current instant under one.
-        if max_wall_s is None:
-            self._decoupling_cap = math.inf if until_fs is None else until_fs
+        self._decoupling_cap = math.inf if until_fs is None else until_fs
         deltas_this_instant = 0
         instant_active = False  # anything happened at the current instant?
         hooks_fired = False  # trace hooks already ran at the current instant?
@@ -423,12 +420,18 @@ class Simulator:
         configuration fetch.  Returns None unless the simulation is quiet
         apart from the caller: no other process runnable, no update or
         delta notification pending, no stop requested, no trace hook
-        attached, and a ``run()`` without a wall-clock watchdog in
-        progress.  When quiet, returns the latest femtosecond that lies
-        strictly before the earliest pending timed action and not past the
-        run's ``until`` bound (``math.inf`` when neither exists): a single
-        timed wait ending there is indistinguishable from any sequence of
-        waits ending there.  Read-only; O(1).
+        attached, and a ``run()`` in progress.  When quiet, returns the
+        latest femtosecond that lies strictly before the earliest pending
+        timed action and not past the run's ``until`` bound (``math.inf``
+        when neither exists): a single timed wait ending there is
+        indistinguishable from any sequence of waits ending there.
+
+        A wall-clock watchdog does not matter: it stops a run only between
+        two process executions or before a timed action fires.  The
+        caller's wait is the next timed action, so a trip leaves the run at
+        the instant the wait started, which a sequence of waits passes
+        through too, and a resumed ``run()`` continues identically.
+        Read-only; O(1).
         """
         cap = self._decoupling_cap
         if (

@@ -8,6 +8,15 @@ from repro.kernel import SimulationError, Simulator, ns
 from tests.conftest import drive
 
 
+def naive_fnv1a(words) -> int:
+    """FNV-1a (32-bit), one step per word: the checksums' reference."""
+    value = 0x811C9DC5
+    for word in words:
+        value ^= word & 0xFFFFFFFF
+        value = (value * 0x01000193) & 0xFFFFFFFF
+    return value
+
+
 class TestMemory:
     def test_address_range(self, sim):
         mem = Memory("m", sim=sim, base=0x100, size_words=16, word_bytes=4)
@@ -85,6 +94,34 @@ class TestMemory:
         assert len(mem._store) == 1
 
 
+class TestBurstWords:
+    """Burst words equal a per-word lookup, however sparse the store."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2**32 - 1)), max_size=80),
+        st.integers(0, 63),
+        st.integers(1, 64),
+        st.sampled_from([0, 0xDEAD]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_lookup(self, pokes, first, count, fill):
+        count = min(count, 64 - first)
+        sim = Simulator()
+        mem = Memory("m", sim=sim, base=0x100, size_words=64, fill=fill)
+        for index, value in pokes:
+            mem.poke(0x100 + 4 * index, value)
+        stored = dict(pokes)
+        expected = [stored.get(i, fill) for i in range(first, first + count)]
+        assert mem.peek(0x100 + 4 * first, count) == expected
+
+        def body():
+            return (yield from mem.read(0x100 + 4 * first, count))
+
+        box = drive(sim, body)
+        sim.run()
+        assert box.value == expected
+
+
 class TestConfigMemory:
     def test_region_registration_and_lookup(self, sim):
         mem = ConfigMemory("cfg", sim=sim, base=0x1000, size_words=1024)
@@ -126,14 +163,44 @@ _steps = st.lists(
 )
 
 
+_words = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(0, 2**32 - 1),
+        st.integers(-(2**40), 2**40),  # wider than 32 bits, and negative
+    ),
+    max_size=200,
+)
+
+
 class TestRegionChecksum:
-    """The sparse checksum equals the reference FNV-1a over peeked words."""
+    """The sparse checksums equal the naive FNV-1a loop."""
 
     BASE = 0x400
 
     @staticmethod
     def reference(mem, addr, size_bytes):
-        return region_checksum(mem.peek(addr, max(1, -(-size_bytes // 4))))
+        return naive_fnv1a(mem.peek(addr, max(1, -(-size_bytes // 4))))
+
+    @given(_words)
+    @settings(max_examples=200, deadline=None)
+    def test_region_checksum_matches_naive_loop(self, words):
+        assert region_checksum(words) == naive_fnv1a(words)
+        # Any iterable, not just a list.
+        assert region_checksum(tuple(words)) == naive_fnv1a(words)
+        assert region_checksum(iter(words)) == naive_fnv1a(words)
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(1, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_zero_runs(self, before, after, word):
+        for words in ([0] * before, [0] * before + [word] + [0] * after):
+            assert region_checksum(words) == naive_fnv1a(words)
+
+    def test_edge_lists(self):
+        assert region_checksum([]) == naive_fnv1a([]) == 0x811C9DC5
+        assert region_checksum([0]) == naive_fnv1a([0])
+        assert region_checksum([0] * 4096) == naive_fnv1a([0] * 4096)
+        assert region_checksum([1 << 32, 0, 1 << 33]) == naive_fnv1a([0, 0, 0])
 
     @given(_fills, _pokes, _regions, _steps)
     @settings(max_examples=120, deadline=None)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bus import Memory
-from repro.core import Drcf
+from repro.core import FULL_RECOVERY, Drcf
 from repro.faults import FaultInjector, FaultSpec
 from repro.kernel import SimulationError, us
 from tests.faults.helpers import RIG_INFO, access, make_rig, rig_design
@@ -33,6 +33,24 @@ class TestDisarmedOverhead:
         # the attribute lives on the class so instances pay nothing extra.
         assert "fault_hook" in vars(Memory)
         assert vars(Memory)["fault_hook"] is None
+
+    @pytest.mark.parametrize("kind", ["bitflip", "truncate", "bus_transient", "stuck"])
+    def test_memory_hook_armed_only_for_bus_transients(self, kind):
+        # Only bus_transient acts on memory reads; an armed memory hook
+        # would keep every fetch per-burst for nothing.
+        rig = make_rig()
+        attach(rig, FaultSpec(kind, "s0", at_ns=0.0))
+        assert rig.drcf.fault_hook is not None
+        assert rig.drcf.scheduler.fault_hook is not None
+        if kind == "bus_transient":
+            assert rig.cfgmem.fault_hook is not None
+        else:
+            assert rig.cfgmem.fault_hook is None
+
+    def test_empty_injector_leaves_memory_hook_disarmed(self):
+        rig = make_rig()
+        attach(rig)
+        assert rig.cfgmem.fault_hook is None
 
     def test_attached_but_empty_injector_changes_nothing(self):
         clean = make_rig()
@@ -100,6 +118,18 @@ class TestBusTransient:
         assert rig.cfgmem.region_is_clean("s0")  # in flight, not in store
         assert len(injector.events) == 1
         assert injector.pending == 0
+
+    def test_scrubber_sampling_read_reaches_the_memory_hook(self):
+        # The scrubber's read carries no words back, but an armed memory
+        # hook still sees (and consumes the transient on) that burst.
+        rig = make_rig(recovery=FULL_RECOVERY)
+        injector = attach(rig, FaultSpec("bus_transient", "s1", at_ns=0.0))
+        rig.sim.run(until=us(150))
+        scrubs = [t for t in rig.bus.monitor.transactions if t.has_tag("scrub")]
+        assert scrubs and all(t.ok for t in scrubs)
+        assert injector.pending == 0
+        assert [msg.split(":")[0] for _, msg in injector.events] == ["bus_transient s1"]
+        assert rig.cfgmem.region_is_clean("s1")  # in flight, not in store
 
     def test_memory_without_regions_passes_through(self):
         injector = FaultInjector(seed=7)

@@ -1,50 +1,63 @@
-"""A content-free, coalesced configuration fetch equals the per-burst fetch.
+"""A coalesced configuration fetch equals the per-burst fetch.
 
-With no fault hook armed and nothing checking the words, a DRCF fetches its
-bitstream content-free, and the bus coalesces the bursts of that train into
-one timed wait while nothing else can act.  Each design here runs up to
-three times, through switches that already exist:
+The bus coalesces the bursts of a DRCF's fetch train into one timed wait
+while nothing else can act, whether the train is content-free (no fault
+hook armed, nothing checking the words) or carries its words back.  Each
+design here runs up to four times, through switches that already exist:
 
-* ``fast``: as built (content-free, coalescing wherever it is allowed);
+* ``fast``: as built (coalescing wherever it is allowed);
 * ``per_burst``: a no-op :class:`~repro.bus.BusMonitor` listener, which
   forbids coalescing;
 * ``content``: a pass-through DRCF fault hook, which makes the fetch carry
-  its words through the per-burst path.
+  its words;
+* ``content_per_burst``: both.
 
 Every simulated observable must be identical across the runs: each bus
 transaction field, the arbiter counters, the memory counters, the DRCF
-statistics, the model-level corruption truth, the ``evaluate_architecture``
-row and the final simulated time.
+statistics, the model-level corruption truth, the fetched words, the
+``evaluate_architecture`` row, the fault-campaign report and the final
+simulated time.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bus import Bus, BusBridge, ConfigMemory, Memory
-from repro.core import Context, ContextParameters, Drcf
+import repro.kernel.simulator as simulator_module
+from repro.bus import Bus, BusBridge, ConfigMemory, Memory, region_checksum
+from repro.core import Context, ContextParameters, Drcf, RecoveryPolicy
 from repro.core.netlist import Netlist
 from repro.cpu import TrafficGenerator
 from repro.dse import evaluate_architecture
-from repro.kernel import Signal, Simulator, VcdTracer, ns
+from repro.faults import SCENARIOS, run_campaign
+from repro.kernel import ZERO_TIME, Signal, Simulator, SimTime, VcdTracer, ns, us
 from tests.core.helpers import DummySlave, small_tech
 
-MODES = ("fast", "per_burst", "content")
+MODES = ("fast", "per_burst", "content", "content_per_burst")
 
 CFG_BASE = 0x10_0000
 DATA_BASE = 0x8_0000
 
 
 class PassThroughHook:
-    """A DRCF fault hook that perturbs nothing (forces the content path)."""
+    """A DRCF fault hook that perturbs nothing (forces the content path).
+
+    Records every fetched bitstream with its checksum.
+    """
+
+    def __init__(self):
+        self.bitstreams = []
 
     def fetch_delay(self, drcf_name, context_name):
         return None
 
     def filter_bitstream(self, drcf_name, context_name, bitstream):
-        return list(bitstream)
+        words = list(bitstream)
+        self.bitstreams.append((context_name, words, region_checksum(words)))
+        return list(words)
 
 
 def _modules(top):
@@ -56,9 +69,9 @@ def _modules(top):
 def apply_mode(modules, mode: str) -> None:
     """Switch a design to ``mode`` through its existing hooks."""
     for module in modules:
-        if mode == "per_burst" and isinstance(module, Bus):
+        if mode.endswith("per_burst") and isinstance(module, Bus):
             module.monitor.listeners.append(lambda txn: None)
-        elif mode == "content" and isinstance(module, Drcf):
+        elif mode.startswith("content") and isinstance(module, Drcf):
             module.fault_hook = PassThroughHook()
 
 
@@ -100,7 +113,26 @@ def observe(sim, modules) -> dict:
                 module.stats.summary(),
                 [module.loaded_corrupted(c.name) for c in module.contexts],
             )
+            if isinstance(module.fault_hook, PassThroughHook):
+                out[WORDS] = module.fault_hook.bitstreams
     return out
+
+
+#: Key of the fetched bitstreams in :func:`observe` (content modes only).
+WORDS = "fetched_words"
+
+
+def assert_modes_agree(runs: dict) -> None:
+    """Every mode's observables equal the coalesced run's.
+
+    The fetched words exist in the content modes only; they must agree
+    between those two.
+    """
+    ref = runs["fast"]
+    for mode, seen in runs.items():
+        seen = {k: v for k, v in seen.items() if k != WORDS}
+        assert seen == ref, f"{mode} differs from the coalesced run"
+    assert runs["content"][WORDS] == runs["content_per_burst"][WORDS]
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +286,14 @@ class TestDifferential:
     def test_hand_built_designs(self, rig_kwargs, accesses, prefetches):
         if not rig_kwargs["prefetch"]:
             prefetches = []
-        fast, ref = None, None
+        rigs, runs = {}, {}
         for mode in MODES:
-            rig, seen = run_rig(mode, accesses, prefetches, **rig_kwargs)
-            if mode == "fast":
-                fast, ref = rig, seen
-            else:
-                assert seen == ref, f"{mode} differs from the coalesced run"
-                # Coalescing only ever removes kernel work.
-                assert (
-                    fast.sim.stats.process_executions
-                    <= rig.sim.stats.process_executions
-                )
+            rigs[mode], runs[mode] = run_rig(mode, accesses, prefetches, **rig_kwargs)
+        assert_modes_agree(runs)
+        # Coalescing only ever removes kernel work.
+        executions = {m: r.sim.stats.process_executions for m, r in rigs.items()}
+        assert executions["fast"] <= executions["per_burst"]
+        assert executions["content"] <= executions["content_per_burst"]
 
     @given(
         st.fixed_dictionaries(
@@ -288,17 +316,14 @@ class TestDifferential:
         # A blocking bus shared with the fetch deadlocks by design; give
         # the configuration memory its own bus then.
         params["dedicated_config_bus"] = params["bus_protocol"] == "blocking"
-        ref = None
+        runs = {}
         for mode in MODES:
             with elaborated_in_mode(mode) as designs:
                 row = evaluate_architecture(dict(params))
             (design,) = designs
-            seen = observe(design.sim, list(_modules(design.top)))
-            seen["row"] = row
-            if ref is None:
-                ref = seen
-            else:
-                assert seen == ref, f"{mode} differs from the coalesced run"
+            runs[mode] = observe(design.sim, list(_modules(design.top)))
+            runs[mode]["row"] = row
+        assert_modes_agree(runs)
 
 
 @contextmanager
@@ -420,6 +445,29 @@ class TestWindowRules:
         assert fast.sim.stats.process_executions == slow.sim.stats.process_executions
         assert fast.bridge.forwarded_reads > 0
 
+    def test_memory_fault_hook_keeps_per_burst(self):
+        """An armed memory hook sees every burst's words as they are read."""
+
+        class Recorder:
+            def __init__(self):
+                self.bursts = []
+
+            def on_memory_read(self, memory, addr, count, data):
+                self.bursts.append((addr, count))
+                return data
+
+        runs = []
+        for mode in ("content", "content_per_burst"):
+            rig = FetchRig()
+            apply_mode(rig.modules(), mode)
+            rig.cfgmem.fault_hook = hook = Recorder()
+            rig.run_accesses(ACCESSES)
+            seen = observe(rig.sim, rig.modules())
+            runs.append((seen, rig.sim.stats.process_executions, hook.bursts))
+        assert runs[0] == runs[1]
+        config = [t for t in runs[0][0]["bus"]["transactions"] if "config" in t[8]]
+        assert runs[0][2] == [(t[3], t[4]) for t in config]
+
     def test_transient_errors_consumed_per_burst(self):
         seen = []
         for mode in ("fast", "per_burst"):
@@ -443,6 +491,190 @@ class TestWindowRules:
         assert monitor.words_by_tag("config") == 2 * words
         assert rig.drcf.stats.total_config_words == 2 * words
         assert seen == run_rig("per_burst", ACCESSES, cache_bytes=4096)[1]
+
+
+# ---------------------------------------------------------------------------
+# content trains: verification, transient errors, upsets, scrubbing
+# ---------------------------------------------------------------------------
+
+#: A scrubber daemon never starves the event queue, so content runs stop here.
+CONTENT_UNTIL = us(300)
+#: Bits in one 250-word bitstream region of a FetchRig.
+REGION_BITS = 250 * 32
+
+
+def run_content(scene, accesses, per_burst, upsets=()):
+    """Run a FetchRig set up by ``scene`` (recovery, hook, pre-armed errors).
+
+    ``upsets`` are ``(at_fs, kind, index, arg)``; a process applies each at
+    its instant: ``transient`` arms ``arg`` transient errors, ``corrupt``
+    flips the bit offsets ``arg``.
+    """
+    rig = FetchRig(
+        protocol=scene["protocol"],
+        burst_words=scene["burst_words"],
+        latency_cycles=scene["latency_cycles"],
+        contend_gap=scene["contend_gap"],
+    )
+    memory = rig.cfgmem
+    rig.drcf.config_memory = memory
+    rig.drcf.set_recovery(
+        RecoveryPolicy(
+            verify=scene["verify"],
+            max_retries=scene["max_retries"],
+            backoff=ns(scene["backoff_ns"]) if scene["backoff_ns"] else ZERO_TIME,
+            scrub_interval=us(scene["scrub_us"]) if scene["scrub_us"] else None,
+            fallback_to_resident=True,
+        )
+    )
+    if scene["hook"]:
+        rig.drcf.fault_hook = PassThroughHook()
+    if per_burst:
+        apply_mode(rig.modules(), "per_burst")
+    for index, n_bursts in scene["transients"]:
+        memory.inject_transient_error(f"s{index}", n_bursts)
+
+    def upsetter():
+        for at_fs, kind, index, arg in sorted(upsets):
+            if at_fs > rig.sim.now.femtoseconds:
+                yield SimTime.from_fs(at_fs - rig.sim.now.femtoseconds)
+            if kind == "transient":
+                memory.inject_transient_error(f"s{index}", arg)
+            else:
+                memory.corrupt_region(f"s{index}", arg)
+
+    rig.sim.spawn("upsets", upsetter)
+    rig.run_accesses(accesses, until=CONTENT_UNTIL)
+    seen = observe(rig.sim, rig.modules())
+    seen["store"] = dict(memory._store)
+    return rig, seen
+
+
+def config_bursts(seen):
+    """``(start_fs, end_fs)`` of every configuration burst of a run."""
+    return [(t[5], t[7]) for t in seen["bus"]["transactions"] if "config" in t[8]]
+
+
+scene_st = st.fixed_dictionaries(
+    {
+        "verify": st.booleans(),
+        "hook": st.booleans(),
+        "max_retries": st.integers(0, 3),
+        "backoff_ns": st.sampled_from([0, 0, 300]),
+        "scrub_us": st.sampled_from([None, 3, 20]),
+        "burst_words": st.sampled_from([16, 37, 64, 300]),
+        "latency_cycles": st.integers(0, 4),
+        "protocol": st.sampled_from(["split", "blocking"]),
+        "contend_gap": st.sampled_from([None, None, 8]),
+        "transients": st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, 3)), max_size=2
+        ),
+    }
+)
+# (which configuration burst, where inside it in permille, upset).
+upsets_st = st.lists(
+    st.tuples(
+        st.integers(0, 40),
+        st.integers(0, 999),
+        st.one_of(
+            st.tuples(st.just("transient"), st.integers(0, 2), st.integers(1, 3)),
+            st.tuples(
+                st.just("corrupt"),
+                st.integers(0, 2),
+                st.lists(st.integers(0, REGION_BITS - 1), min_size=1, max_size=3),
+            ),
+        ),
+    ),
+    max_size=3,
+)
+
+#: Verification on, no fault hook: the fetch carries its words for the
+#: checksum, and nothing else in the rig forces a per-burst fetch.
+VERIFY_SCENE = {
+    "verify": True,
+    "hook": False,
+    "max_retries": 3,
+    "backoff_ns": 0,
+    "scrub_us": None,
+    "burst_words": 64,
+    "latency_cycles": 2,
+    "protocol": "split",
+    "contend_gap": None,
+    "transients": [],
+}
+
+
+class TestContentTrains:
+    @given(scene_st, accesses_st, upsets_st)
+    @settings(max_examples=40, deadline=None)
+    def test_differential(self, scene, accesses, upsets):
+        """Coalesced content trains equal forced per-burst ones.
+
+        Upsets land inside configuration bursts of a clean per-burst run,
+        so they arrive in the middle of fetch trains.
+        """
+        _rig, clean = run_content(scene, accesses, per_burst=True)
+        bursts = config_bursts(clean)
+        timed = []
+        if bursts:
+            for which, permille, (kind, index, arg) in upsets:
+                start, end = bursts[which % len(bursts)]
+                timed.append((start + (end - start) * permille // 1000, kind, index, arg))
+        fast, seen_fast = run_content(scene, accesses, False, timed)
+        slow, seen_slow = run_content(scene, accesses, True, timed)
+        assert seen_fast == seen_slow
+        assert fast.sim.stats.process_executions <= slow.sim.stats.process_executions
+
+    def test_verified_fetch_coalesces(self):
+        fast, seen_fast = run_content(VERIFY_SCENE, ACCESSES, per_burst=False)
+        slow, seen_slow = run_content(VERIFY_SCENE, ACCESSES, per_burst=True)
+        assert seen_fast == seen_slow
+        assert fast.sim.stats.process_executions < slow.sim.stats.process_executions
+        assert fast.drcf.stats.config_retries == 0
+
+    def test_transient_error_flips_the_consuming_burst(self):
+        scene = dict(VERIFY_SCENE, hook=True, transients=[(1, 2)])
+        runs = [run_content(scene, ACCESSES, per_burst) for per_burst in (False, True)]
+        (fast, seen_fast), (slow, seen_slow) = runs
+        assert seen_fast == seen_slow
+        assert fast.sim.stats.process_executions < slow.sim.stats.process_executions
+        fetched = [words for name, words, _ in seen_fast[WORDS] if name == "s1"]
+        # The first two bursts of s1's first fetch each flip bit 0 of their
+        # first word; the verified refetch is clean.
+        assert len(fetched) == 2
+        diff = [a ^ b for a, b in zip(fetched[0], fetched[1])]
+        assert [i for i, d in enumerate(diff) if d] == [0, 64]
+        assert set(diff) == {0, 1}
+        assert fast.drcf.stats.config_retries == 1
+
+    def test_transient_error_armed_inside_a_train(self):
+        scene = dict(VERIFY_SCENE, hook=True)
+        _rig, clean = run_content(scene, ACCESSES, per_burst=True)
+        # Halfway through the second burst of the second fetch (s1).
+        start, end = config_bursts(clean)[5]
+        upsets = [((start + end) // 2, "transient", 1, 1)]
+        (fast, seen_fast), (slow, seen_slow) = [
+            run_content(scene, ACCESSES, per_burst, upsets) for per_burst in (False, True)
+        ]
+        assert seen_fast == seen_slow
+        fetched = [words for name, words, _ in seen_fast[WORDS] if name == "s1"]
+        flipped = [i for i, (a, b) in enumerate(zip(*fetched)) if a != b]
+        # A later burst of the train consumed it, not the train's first.
+        assert len(fetched) == 2 and len(flipped) == 1 and flipped[0] >= 64
+        assert fast.drcf.stats.config_retries == 1
+
+    def test_upset_and_scrubber_cut_windows(self):
+        scene = dict(VERIFY_SCENE, hook=True, scrub_us=3, max_retries=1)
+        _rig, clean = run_content(scene, ACCESSES, per_burst=True)
+        start, end = config_bursts(clean)[1]
+        upsets = [((start + end) // 2, "corrupt", 0, [5, 700])]
+        (fast, seen_fast), (slow, seen_slow) = [
+            run_content(scene, ACCESSES, per_burst, upsets) for per_burst in (False, True)
+        ]
+        assert seen_fast == seen_slow
+        assert fast.sim.stats.process_executions < slow.sim.stats.process_executions
+        stats = fast.drcf.stats
+        assert stats.scrubs > 0 and stats.scrub_repairs > 0
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +799,8 @@ class TestKernelQuietness:
 
         self.assert_same(setup)
 
-    def test_watchdog_run_stays_per_burst(self):
-        """A wall-clock watchdog may stop a run anywhere: no windows then."""
+    def test_watchdog_run_coalesces(self):
+        """A wall-clock watchdog that never trips changes only kernel work."""
         runs = []
         for mode in ("fast", "per_burst"):
             sim = Simulator()
@@ -579,7 +811,80 @@ class TestKernelQuietness:
             sim.spawn("fetch", train(bus))
             sim.run(max_wall_s=600)
             runs.append((observe(sim, [bus, mem]), sim.stats.process_executions))
-        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] < runs[1][1]
+
+    def test_watchdog_trip_mid_train_resumes_identically(self, monkeypatch):
+        """A trip stops at an instant the per-burst run reaches, and resumes.
+
+        The kernel's clock is replaced so the watchdog trips at its
+        ``trip_at``-th reading; sweeping that covers every point at which
+        a coalesced run checks the watchdog.
+        """
+
+        class Clock:
+            def __init__(self, trip_at):
+                self.readings = 0
+                self.trip_at = trip_at
+
+            def monotonic(self):
+                self.readings += 1
+                return 0.0 if self.readings < self.trip_at else 1e9
+
+        def scene(mode):
+            sim = Simulator()
+            bus = Bus("bus", sim=sim, protocol="split")
+            mem = Memory("mem", sim=sim, base=0, size_words=1 << 15)
+            bus.register_slave(mem)
+            for i in range(0, 1 << 15, 97):
+                mem.poke(4 * i, i)
+            apply_mode([bus], mode)
+            fetched = []
+
+            def fetch():
+                yield from bus.read(0x1FFF0, 1, master="fetch")
+                words = yield from bus.read_train(0, 24000, 16, master="fetch")
+                fetched.append(words)
+
+            def ticker():
+                # Cuts the train into windows of a few bursts.
+                for _ in range(300):
+                    yield ns(2000)
+
+            sim.spawn("fetch", fetch)
+            sim.spawn("ticker", ticker)
+            return sim, [bus, mem], fetched
+
+        ref_sim, ref_modules, ref_words = scene("per_burst")
+        instants = set()
+        ref_sim.trace_hooks.append(lambda t: instants.add(t.femtoseconds))
+        ref_sim.run()
+        reference = observe(ref_sim, ref_modules)
+        total = len(reference["bus"]["transactions"])
+
+        mid_train = 0
+        for trip_at in range(2, 40):
+            sim, modules, words = scene("fast")
+            monkeypatch.setattr(simulator_module, "time", Clock(trip_at))
+            sim.run(max_wall_s=1.0)
+            monkeypatch.undo()
+            if not sim.watchdog_fired:
+                break  # no watchdog check left to trip
+            stop_fs = sim.now.femtoseconds
+            assert stop_fs in instants
+            # The bursts finished by then are exactly the per-burst run's.
+            stopped = observe(sim, modules)["bus"]["transactions"]
+            assert stopped == [
+                t for t in reference["bus"]["transactions"] if t[7] <= stop_fs
+            ]
+            done = len(stopped)
+            if 1 < done < total:
+                mid_train += 1
+            sim.run()
+            assert observe(sim, modules) == reference
+            assert words == ref_words
+            assert sim.stats.process_executions < ref_sim.stats.process_executions
+        assert mid_train >= 2
 
     def test_stop_requested_before_train(self):
         """A run the train's own process stops leaves no window to resume."""
@@ -604,3 +909,24 @@ class TestKernelQuietness:
             sim.run()
             runs.append((stopped, resumed, observe(sim, [bus, mem])))
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# whole fault campaigns
+# ---------------------------------------------------------------------------
+
+class TestCampaigns:
+    @pytest.mark.parametrize("scenario, recovery", [("modem", "retry"), ("wireless", "full")])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_report_identical_to_per_burst(self, scenario, recovery, seed):
+        """Watchdog on, fault hooks armed, verification on: same report."""
+        reports, executions = [], []
+        for mode in ("fast", "per_burst"):
+            with elaborated_in_mode(mode) as designs:
+                report = run_campaign(
+                    SCENARIOS[scenario], trials=4, seed=seed, recovery=recovery
+                )
+            reports.append(report.to_json())
+            executions.append(sum(d.sim.stats.process_executions for d in designs))
+        assert reports[0] == reports[1]
+        assert executions[0] < executions[1]
