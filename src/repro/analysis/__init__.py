@@ -19,11 +19,9 @@ from .deadlock import BlockedProcess, DeadlockReport, diagnose, watchdog_report
 from .interproc import (
     AcquireSite,
     LockTrace,
-    WaitEffectSummary,
     acquire_sites,
     lock_order_trace,
     release_closure,
-    summarize_function,
 )
 from .lint import (
     DEADLOCK_RULE_CODE,
@@ -59,7 +57,6 @@ __all__ = [
     "RunReport",
     "STATIC_DEADLOCK_RULE_CODE",
     "SignalUse",
-    "WaitEffectSummary",
     "WaitStateMachine",
     "acquire_sites",
     "all_rule_codes",
@@ -75,7 +72,6 @@ __all__ = [
     "rule",
     "run_lint",
     "speedup",
-    "summarize_function",
     "summarize_process",
     "watchdog_report",
 ]

@@ -42,10 +42,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..kernel import Signal
-from .dataflow import _TIME_FUNCS, _as_signal, _parse_fn, _resolve_path
-
-#: A ``self``-rooted attribute path, as in :mod:`repro.analysis.dataflow`.
-Path = Tuple[str, ...]
+from .dataflow import _as_signal, _resolve_path
+from .effects import Path, WaitInfo, _classify_wait, _parse_fn, scan_effects
 
 #: Write counts saturate here: "2" already means "more than once per
 #: instant", which is all any consumer distinguishes.
@@ -55,38 +53,6 @@ MANY = 2
 # --------------------------------------------------------------------------
 # Node model
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WaitInfo:
-    """Classification of one ``yield`` site.
-
-    ``advances`` is True only when *every* resumption of this wait is
-    provably in a later simulated instant than its suspension — a pure
-    timed wait with a positive constant duration.  Event waits are False:
-    an immediate or delta notify can wake the thread within the same
-    instant.  ``anyof_timeout`` waits are False at the wait itself; the
-    ``result is TIMEOUT`` branch refinement (recorded on the guarding
-    branch node) supplies the advance on the timeout path.
-    """
-
-    kind: str  # 'timed' | 'event' | 'static' | 'anyof_timeout' | 'external' | 'unknown'
-    advances: bool
-    #: For ``event`` waits on a plain ``self.<...>`` path and for
-    #: ``external`` waits (``yield from self.<chain>.<method>(...)``): the
-    #: ``self``-rooted path of the waited object / call target, resolvable
-    #: on the live owner.  None for composite or unresolvable targets.
-    target: Optional[Path] = None
-    #: For ``external`` waits: the method name invoked on ``target``.
-    method: str = ""
-    #: For composite (``AnyOf``) waits: the member event paths, when every
-    #: member is a plain ``self.<...>`` path.  ``()`` is a resolved empty
-    #: member list (a pure-timeout ``AnyOf``); None means at least one
-    #: member escaped the static analysis.
-    members: Optional[Tuple[Path, ...]] = None
-    #: For composite waits: True when the ``AnyOf`` carries a timeout
-    #: (positional or keyword) that is not literally ``None``.
-    has_timeout: bool = False
-
 
 @dataclass
 class CfgNode:
@@ -153,7 +119,7 @@ class WaitState:
     advances: bool
     #: The full classification of the underlying wait site (None for the
     #: synthetic START/END states).  Carries the resolvable target path
-    #: for event/external waits, which the interprocedural summaries
+    #: for event/external waits, which the interprocedural traces
     #: (:mod:`repro.analysis.interproc`) resolve on the live owner.
     info: Optional[WaitInfo] = None
 
@@ -175,15 +141,6 @@ class WaitStateMachine:
     fn_name: str
     states: List[WaitState]
     edges: List[MachineEdge]
-
-    def state_count(self) -> int:
-        return len(self.states)
-
-    def edge(self, src: int, dst: int) -> Optional[MachineEdge]:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e
-        return None
 
 
 @dataclass
@@ -210,77 +167,8 @@ class FunctionControlFlow:
 
 
 # --------------------------------------------------------------------------
-# Expression effect scanning
+# Statement-shape helpers
 # --------------------------------------------------------------------------
-
-def _self_path(node: ast.AST) -> Optional[Path]:
-    """``self.a.b`` -> ``("a", "b")``; ``self`` -> ``()``; else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self":
-        return tuple(reversed(parts))
-    return None
-
-
-class _ExprScanner(ast.NodeVisitor):
-    """Occurrence-level read/write collection within one expression tree.
-
-    Unlike the dataflow facts visitor this keeps *multiplicity*: a
-    statement writing the same signal twice contributes two occurrences,
-    which is exactly what the per-instant write-count analysis needs.
-    Nested function definitions and lambdas are not entered.
-    """
-
-    def __init__(self) -> None:
-        self.reads: List[Path] = []
-        self.writes: List[Path] = []
-        self.self_calls: List[str] = []
-        self.yields: List[ast.AST] = []
-
-    def _skip_scope(self, node: ast.AST) -> None:
-        pass
-
-    visit_FunctionDef = _skip_scope
-    visit_AsyncFunctionDef = _skip_scope
-    visit_Lambda = _skip_scope
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self.yields.append(node)
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.yields.append(node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            path = _self_path(func.value)
-            if func.attr == "write" and path:
-                self.writes.append(path)
-            elif func.attr == "read" and path:
-                self.reads.append(path)
-            elif path == ():
-                self.self_calls.append(func.attr)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "value":
-            path = _self_path(node.value)
-            if path:
-                self.reads.append(path)
-        self.generic_visit(node)
-
-
-def _scan(*exprs: Optional[ast.AST]) -> _ExprScanner:
-    scanner = _ExprScanner()
-    for expr in exprs:
-        if expr is not None:
-            scanner.visit(expr)
-    return scanner
-
 
 def _const_truth(test: ast.AST) -> Optional[bool]:
     """The constant truth value of a test expression, or None."""
@@ -313,73 +201,6 @@ def _timeout_guard(test: ast.AST, var: str) -> Optional[bool]:
     if isinstance(test.ops[0], (ast.IsNot, ast.NotEq)):
         return False
     return None
-
-
-def _positive_constant_duration(call: ast.Call) -> bool:
-    """True for ``ns(10)``-style calls with a positive numeric literal."""
-    if len(call.args) != 1 or call.keywords:
-        return False
-    arg = call.args[0]
-    return (
-        isinstance(arg, ast.Constant)
-        and isinstance(arg.value, (int, float))
-        and not isinstance(arg.value, bool)
-        and arg.value > 0
-    )
-
-
-def _anyof_members(call: ast.Call) -> Optional[Tuple[Path, ...]]:
-    """Member event paths of an ``AnyOf([...])`` literal, or None.
-
-    Resolvable only when the first argument is a list/tuple literal whose
-    every element is a plain ``self.<...>`` path.  An empty literal is the
-    (resolved) pure-timeout form and returns ``()``.
-    """
-    if not call.args or not isinstance(call.args[0], (ast.List, ast.Tuple)):
-        return None
-    members: List[Path] = []
-    for elt in call.args[0].elts:
-        path = _self_path(elt)
-        if not path:
-            return None
-        members.append(path)
-    return tuple(members)
-
-
-def _classify_wait(value: Optional[ast.AST]) -> WaitInfo:
-    """Classify the expression yielded at a wait site."""
-    if value is None or (isinstance(value, ast.Constant) and value.value is None):
-        return WaitInfo("static", False)
-    path = _self_path(value)
-    if path:
-        return WaitInfo("event", False, target=path)
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name in _TIME_FUNCS:
-            return WaitInfo("timed", _positive_constant_duration(value))
-        if name == "AnyOf":
-            timeout = next(
-                (kw.value for kw in value.keywords if kw.arg == "timeout"), None
-            )
-            if timeout is None and len(value.args) >= 2:
-                timeout = value.args[1]
-            has_timeout = timeout is not None and not (
-                isinstance(timeout, ast.Constant) and timeout.value is None
-            )
-            members = _anyof_members(value)
-            if has_timeout:
-                return WaitInfo(
-                    "anyof_timeout", False, members=members, has_timeout=True
-                )
-            return WaitInfo("event", False, members=members)
-        if name == "AllOf":
-            return WaitInfo("event", False)
-    return WaitInfo("unknown", False)
 
 
 def _must_enter_loop(iter_expr: ast.AST) -> bool:
@@ -493,11 +314,36 @@ class _CfgBuilder:
         self._helper_cache[name] = flow
         return flow
 
-    def _effects(self, scanner: _ExprScanner) -> Tuple[Tuple[Path, ...], Tuple[Path, ...]]:
-        """Statement effects: direct occurrences plus plain self-call bodies."""
-        reads = list(scanner.reads)
-        writes = list(scanner.writes)
-        for name in scanner.self_calls:
+    def _scan(
+        self, stmt: ast.stmt, yield_position: str, *exprs: Optional[ast.AST]
+    ) -> Tuple[Tuple[Path, ...], Tuple[Path, ...]]:
+        """Read/write occurrences in some expressions of ``stmt``, plus the
+        per-call effects of plain self-helper calls among them.
+
+        Occurrences keep their multiplicity (a statement writing one signal
+        twice contributes two), which the per-instant write counts need.
+        Nested ``def``/``lambda`` bodies are skipped.  A ``yield`` among the
+        expressions is an unsupported ``yield_position``.
+        """
+        reads: List[Path] = []
+        writes: List[Path] = []
+        self_calls: List[str] = []
+        for effect in scan_effects(*exprs):
+            if effect.nested:
+                continue
+            kind, path = effect.kind, effect.path
+            if kind == "yield":
+                raise _Unresolvable(f"{yield_position} (line {stmt.lineno})")
+            if kind == "call":
+                if effect.name == "write" and path:
+                    writes.append(path)
+                elif effect.name == "read" and path:
+                    reads.append(path)
+                elif path == ():
+                    self_calls.append(effect.name)
+            elif kind == "value" and path:
+                reads.append(path)
+        for name in self_calls:
             flow = self._helper_flow(name)
             if flow is None:
                 continue  # not a same-class function; facts-level opaqueness applies
@@ -509,12 +355,7 @@ class _CfgBuilder:
         return tuple(reads), tuple(writes)
 
     def _stmt_node(self, stmt: ast.stmt, *exprs: Optional[ast.AST]) -> int:
-        scanner = _scan(*exprs)
-        if scanner.yields:
-            raise _Unresolvable(
-                f"yield in an unsupported expression position (line {stmt.lineno})"
-            )
-        reads, writes = self._effects(scanner)
+        reads, writes = self._scan(stmt, "yield in an unsupported expression position", *exprs)
         return self._new(
             "stmt", lineno=stmt.lineno, source=self._src(stmt), reads=reads, writes=writes
         )
@@ -542,7 +383,7 @@ class _CfgBuilder:
             elif isinstance(stmt, ast.Expr) and isinstance(
                 stmt.value, (ast.Yield, ast.YieldFrom)
             ):
-                frontier = self._emit_wait(stmt, stmt.value, None, frontier)
+                frontier = self._emit_wait(stmt, stmt.value, frontier)
             elif (
                 isinstance(stmt, ast.Assign)
                 and isinstance(stmt.value, (ast.Yield, ast.YieldFrom))
@@ -550,7 +391,7 @@ class _CfgBuilder:
                 target = None
                 if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
                     target = stmt.targets[0].id
-                frontier = self._emit_wait(stmt, stmt.value, target, frontier)
+                frontier = self._emit_wait(stmt, stmt.value, frontier)
                 # Timeout-guard refinement: the wait's own classification
                 # (first-class, not read back off the emitted CFG) says
                 # whether `target is TIMEOUT` on the next statement proves
@@ -558,8 +399,7 @@ class _CfgBuilder:
                 # variable could carry a stale verdict into the guard.
                 if (
                     target is not None
-                    and isinstance(stmt.value, ast.Yield)
-                    and _classify_wait(stmt.value.value).kind == "anyof_timeout"
+                    and _classify_wait(stmt.value).kind == "anyof_timeout"
                     and self._var_stores[-1].get(target, 0) == 1
                 ):
                     pending_guard = target
@@ -626,10 +466,7 @@ class _CfgBuilder:
     def _emit_if(
         self, stmt: ast.If, frontier: List[int], guard_var: Optional[str] = None
     ) -> List[int]:
-        scanner = _scan(stmt.test)
-        if scanner.yields:
-            raise _Unresolvable(f"yield inside a branch condition (line {stmt.lineno})")
-        reads, writes = self._effects(scanner)
+        reads, writes = self._scan(stmt, "yield inside a branch condition", stmt.test)
         branch = self._new(
             "branch", lineno=stmt.lineno, source=self._src(stmt.test), reads=reads, writes=writes
         )
@@ -666,10 +503,7 @@ class _CfgBuilder:
         return [join]
 
     def _emit_while(self, stmt: ast.While, frontier: List[int]) -> List[int]:
-        scanner = _scan(stmt.test)
-        if scanner.yields:
-            raise _Unresolvable(f"yield inside a loop condition (line {stmt.lineno})")
-        reads, writes = self._effects(scanner)
+        reads, writes = self._scan(stmt, "yield inside a loop condition", stmt.test)
         head = self._new(
             "branch", lineno=stmt.lineno, source=self._src(stmt.test), reads=reads, writes=writes
         )
@@ -698,10 +532,7 @@ class _CfgBuilder:
         return out + breaks
 
     def _emit_for(self, stmt: ast.For, frontier: List[int]) -> List[int]:
-        scanner = _scan(stmt.iter)
-        if scanner.yields:
-            raise _Unresolvable(f"yield inside a loop iterable (line {stmt.lineno})")
-        reads, writes = self._effects(scanner)
+        reads, writes = self._scan(stmt, "yield inside a loop iterable", stmt.iter)
         must_enter = _must_enter_loop(stmt.iter)
         head = self._new(
             "branch",
@@ -756,30 +587,17 @@ class _CfgBuilder:
             out = self._emit_block(stmt.finalbody, out)
         return out
 
-    def _emit_wait(
-        self,
-        stmt: ast.stmt,
-        value: ast.AST,
-        target: Optional[str],
-        frontier: List[int],
-    ) -> List[int]:
+    def _emit_wait(self, stmt: ast.stmt, value: ast.AST, frontier: List[int]) -> List[int]:
+        info = _classify_wait(value)
+        if info.kind == "inline":
+            return self._splice(stmt, value.value, frontier)
+        if info.kind == "external":
+            return self._emit_external(stmt, value.value, info, frontier)
         if isinstance(value, ast.YieldFrom):
-            call = value.value
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
-                root = _self_path(call.func.value)
-                if root == ():
-                    return self._splice(stmt, call, frontier)
-                if root:
-                    return self._emit_external(stmt, call, root, frontier)
             raise _Unresolvable(
                 f"yield from a foreign generator (line {stmt.lineno})"
             )
-        assert isinstance(value, ast.Yield)
-        scanner = _scan(value.value)
-        if scanner.yields:
-            raise _Unresolvable(f"nested yield (line {stmt.lineno})")
-        reads, writes = self._effects(scanner)
-        info = _classify_wait(value.value)
+        reads, writes = self._scan(stmt, "nested yield", value.value)
         node = self._new(
             "wait",
             lineno=stmt.lineno,
@@ -792,7 +610,7 @@ class _CfgBuilder:
         return [node]
 
     def _emit_external(
-        self, stmt: ast.stmt, call: ast.Call, root: Path, frontier: List[int]
+        self, stmt: ast.stmt, call: ast.Call, info: WaitInfo, frontier: List[int]
     ) -> List[int]:
         """``yield from self.<chain>.<method>(...)`` — a blocking call into
         another component (bus transport, channel, arbiter).
@@ -802,16 +620,14 @@ class _CfgBuilder:
         state carrying the target path and method name.  Its internal
         effects are invisible here: write counts cover only this body.
         """
-        scanner = _scan(*call.args, *[kw.value for kw in call.keywords])
-        if scanner.yields:
-            raise _Unresolvable(f"yield inside call arguments (line {stmt.lineno})")
-        reads, writes = self._effects(scanner)
-        info = WaitInfo("external", False, target=root, method=call.func.attr)
+        reads, writes = self._scan(
+            stmt, "yield inside call arguments", *call.args, *[kw.value for kw in call.keywords]
+        )
         node = self._new(
             "wait",
             lineno=stmt.lineno,
             source=self._src(stmt),
-            reads=tuple(reads) + (root,),
+            reads=reads + (info.target,),
             writes=writes,
             wait=info,
         )
@@ -820,10 +636,9 @@ class _CfgBuilder:
 
     def _splice(self, stmt: ast.stmt, call: ast.Call, frontier: List[int]) -> List[int]:
         """Inline ``yield from self.helper(...)`` into the current graph."""
-        scanner = _scan(*call.args, *[kw.value for kw in call.keywords])
-        if scanner.yields:
-            raise _Unresolvable(f"yield inside call arguments (line {stmt.lineno})")
-        arg_reads, arg_writes = self._effects(scanner)
+        arg_reads, arg_writes = self._scan(
+            stmt, "yield inside call arguments", *call.args, *[kw.value for kw in call.keywords]
+        )
         if arg_reads or arg_writes:
             node = self._new(
                 "stmt", lineno=stmt.lineno, source=self._src(stmt),

@@ -16,10 +16,10 @@ dataflow view that the REP4xx lint rules query:
 
 The analysis is two-phase so it stays near-linear in design size:
 
-1. *Syntactic phase* — one AST walk per function body, producing
-   :class:`_FnFacts` (attribute paths rooted at ``self``, not objects).
-   Cached per code object, so a class instantiated a hundred times is
-   parsed once.
+1. *Syntactic phase* — the body's effect records
+   (:mod:`repro.analysis.effects`) folded into :class:`_FnFacts`
+   (attribute paths rooted at ``self``, not objects).  Cached per code
+   object, so a class instantiated a hundred times is parsed once.
 2. *Resolution phase* — per process, the attribute paths are resolved
    against the **live** elaborated design with ``getattr`` chains.  A path
    landing on a :class:`~repro.kernel.Port` is followed through
@@ -35,9 +35,6 @@ against actual kernel behaviour.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
 import types
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -54,12 +51,10 @@ from ..kernel import (
     signals_of,
     us,
 )
+from .effects import _TIME_FUNCS, fn_effects
 
 #: Sentinel: an attribute path that does not resolve on the live design.
 _UNRESOLVED = object()
-
-#: Call names recognised as pure-timeout wait expressions (``yield ns(10)``).
-_TIME_FUNCS = frozenset({"fs", "ps", "ns", "us", "ms", "sec", "from_fs", "cycles_to_time", "SimTime"})
 
 #: Calls that change the process structure at runtime.  They act on the
 #: kernel, not on signals, so calling one does not make a body opaque.
@@ -114,216 +109,101 @@ class _FnFacts:
     opaque_calls: bool = False
 
 
-class _FactsVisitor(ast.NodeVisitor):
-    """Collects :class:`_FnFacts` from one function body.
-
-    Nested function definitions and lambdas are *not* entered: their bodies
-    run in another context (callbacks, listeners), so attributing their
-    effects to this process would over-claim — and a ``yield`` inside one
-    must not count as the process itself blocking.
-    """
-
-    def __init__(self) -> None:
-        self.writes: List[Tuple[str, ...]] = []
-        self.reads: List[Tuple[str, ...]] = []
-        self.notifies: List[Tuple[str, ...]] = []
-        self.waits: List[Tuple[str, ...]] = []
-        self.self_calls: List[str] = []
-        self.static_wait = False
-        self.unresolved_wait = False
-        self.unresolved_notify = False
-        self.yields_in_body = False
-        self.opaque_calls = False
-
-    # -- scope fences -------------------------------------------------------
-    def _skip_scope(self, node: ast.AST) -> None:
-        pass
-
-    visit_FunctionDef = _skip_scope
-    visit_AsyncFunctionDef = _skip_scope
-    visit_Lambda = _skip_scope
-
-    # -- helpers ------------------------------------------------------------
-    @staticmethod
-    def _path(node: ast.AST) -> Optional[Tuple[str, ...]]:
-        """``self.a.b`` -> ``("a", "b")``; ``self`` -> ``()``; else None."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name) and node.id == "self":
-            return tuple(reversed(parts))
-        return None
-
-    # -- effects ------------------------------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            attr = func.attr
-            path = self._path(func.value)
-            if attr == "write":
-                if path == ():
-                    self.self_calls.append(attr)
-                elif path:
-                    self.writes.append(path)
-                else:
-                    # A write through a local alias could target any signal.
-                    self.opaque_calls = True
-            elif attr == "read":
-                if path == ():
-                    self.self_calls.append(attr)
-                elif path:
-                    self.reads.append(path)
-                else:
-                    self.opaque_calls = True
-            elif attr in ("notify", "notify_delta"):
-                if path == ():
-                    self.self_calls.append(attr)
-                elif path:
-                    self.notifies.append(path)
-                else:
-                    self.unresolved_notify = True
-            elif path == ():
-                self.self_calls.append(attr)
-            elif attr not in _PURE_ATTR_CALLS and attr not in _DYNAMIC_CALL_NAMES:
-                # Unknown method call: could mutate state or touch signals
-                # the path analysis cannot attribute.
-                self.opaque_calls = True
-        elif isinstance(func, ast.Name):
-            if func.id not in _PURE_NAME_CALLS and func.id not in _DYNAMIC_CALL_NAMES:
-                self.opaque_calls = True
-        else:
-            self.opaque_calls = True
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "value":
-            path = self._path(node.value)
-            if path:
-                self.reads.append(path)
-            elif path is None:
-                # ``.value`` on a non-self expression: if that expression
-                # aliases a signal, this is a read the path analysis cannot
-                # attribute (usually it is something harmless — an enum, an
-                # AST node — but the analysis must assume the worst).
-                self.opaque_calls = True
-        self.generic_visit(node)
-
-    def _record_wait(self, value: ast.AST) -> None:
-        path = self._path(value)
-        if path:
-            self.waits.append(path)
-            return
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in _TIME_FUNCS:
-                return  # pure timeout; no event involved
-            if name in ("AnyOf", "AllOf"):
-                if value.args and isinstance(value.args[0], (ast.List, ast.Tuple)):
-                    for elt in value.args[0].elts:
-                        elt_path = self._path(elt)
-                        if elt_path:
-                            self.waits.append(elt_path)
-                        else:
-                            self.unresolved_wait = True
-                else:
-                    self.unresolved_wait = True
-                return
-        self.unresolved_wait = True
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self.yields_in_body = True
-        value = node.value
-        if value is None or (isinstance(value, ast.Constant) and value.value is None):
-            self.static_wait = True
-        else:
-            self._record_wait(value)
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.yields_in_body = True
-        value = node.value
-        inlined = (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and isinstance(value.func.value, ast.Name)
-            and value.func.value.id == "self"
-        )
-        if not inlined:
-            # Delegating to a foreign generator (port call, channel method):
-            # whatever it waits on is invisible here.
-            self.unresolved_wait = True
-        self.generic_visit(node)
-
-
-#: Parsed definition per code object (None = source unavailable).  Shared
-#: by every AST consumer (this module, :mod:`repro.analysis.cfg`,
-#: :mod:`repro.analysis.interproc`), so each body is read and parsed once.
-_PARSE_CACHE: Dict[object, Optional[ast.AST]] = {}
-
-
-def _parse_fn(func: object) -> Optional[ast.AST]:
-    """The (cached) ``FunctionDef``/``AsyncFunctionDef`` node of ``func``.
-
-    None when ``func`` has no code object or its source is unavailable or
-    unparseable.
-    """
-    func = getattr(func, "__func__", func)
-    code = getattr(func, "__code__", None)
-    if code is None:
-        return None
-    if code in _PARSE_CACHE:
-        return _PARSE_CACHE[code]
-    node: Optional[ast.AST] = None
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
-        tree = None
-    if tree is not None:
-        node = next(
-            (n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
-            None,
-        )
-    _PARSE_CACHE[code] = node
-    return node
-
-
 #: Facts per code object (None = unparseable).  Class methods are parsed
 #: once however many instances the design contains.
 _FACTS_CACHE: Dict[object, Optional[_FnFacts]] = {}
 
 
 def _fn_facts(func: object) -> Optional[_FnFacts]:
-    """The (cached) syntactic facts of ``func``, or None if unparseable."""
+    """The (cached) syntactic facts of ``func``, or None if unparseable.
+
+    Folds the body's effect records, skipping nested ``def``/``lambda``
+    bodies: they run in another context (callbacks, listeners), so
+    attributing their effects to this process would over-claim — and a
+    ``yield`` inside one must not count as the process itself blocking.
+    """
     func = getattr(func, "__func__", func)
     code = getattr(func, "__code__", None)
     if code is None:
         return None
     if code in _FACTS_CACHE:
         return _FACTS_CACHE[code]
-    facts: Optional[_FnFacts] = None
-    fn_node = _parse_fn(func)
-    if fn_node is not None:
-        visitor = _FactsVisitor()
-        for stmt in fn_node.body:
-            visitor.visit(stmt)
-        facts = _FnFacts(
-            writes=tuple(visitor.writes),
-            reads=tuple(visitor.reads),
-            notifies=tuple(visitor.notifies),
-            waits=tuple(visitor.waits),
-            self_calls=tuple(dict.fromkeys(visitor.self_calls)),
-            static_wait=visitor.static_wait,
-            unresolved_wait=visitor.unresolved_wait,
-            unresolved_notify=visitor.unresolved_notify,
-            yields_in_body=visitor.yields_in_body,
-            opaque_calls=visitor.opaque_calls,
-        )
+    effects = fn_effects(func)
+    if effects is None:
+        _FACTS_CACHE[code] = None
+        return None
+    writes: List[Tuple[str, ...]] = []
+    reads: List[Tuple[str, ...]] = []
+    notifies: List[Tuple[str, ...]] = []
+    waits: List[Tuple[str, ...]] = []
+    self_calls: List[str] = []
+    static_wait = unresolved_wait = unresolved_notify = False
+    yields_in_body = opaque_calls = False
+    for effect in effects:
+        if effect.nested:
+            continue
+        kind, path, name = effect.kind, effect.path, effect.name
+        if kind == "call":
+            if path == ():
+                self_calls.append(name)
+            elif name == "write":
+                if path:
+                    writes.append(path)
+                else:
+                    # A write through a local alias could target any signal.
+                    opaque_calls = True
+            elif name == "read":
+                if path:
+                    reads.append(path)
+                else:
+                    opaque_calls = True
+            elif name in ("notify", "notify_delta"):
+                if path:
+                    notifies.append(path)
+                else:
+                    unresolved_notify = True
+            elif name not in _PURE_ATTR_CALLS and name not in _DYNAMIC_CALL_NAMES:
+                # Unknown method call: could mutate state or touch signals
+                # the path analysis cannot attribute.
+                opaque_calls = True
+        elif kind == "func":
+            if name not in _PURE_NAME_CALLS and name not in _DYNAMIC_CALL_NAMES:
+                opaque_calls = True
+        elif kind == "value":
+            if path:
+                reads.append(path)
+            elif path is None:
+                # ``.value`` on a non-self expression: if that expression
+                # aliases a signal, this is a read the path analysis cannot
+                # attribute (usually it is something harmless — an enum, an
+                # AST node — but the analysis must assume the worst).
+                opaque_calls = True
+        else:
+            yields_in_body = True
+            wait = effect.wait
+            if wait.kind == "static":
+                static_wait = True
+            elif wait.kind in ("event", "anyof_timeout"):
+                waits.extend((wait.target,) if wait.target else wait.members)
+                unresolved_wait = unresolved_wait or wait.unresolved_members
+            elif wait.kind in ("external", "unknown"):
+                # A foreign generator (port call, channel method) or an
+                # unrecognised wait: whatever it waits on is invisible here.
+                # Timed waits and inlined ``yield from self.helper()`` are
+                # fully visible.
+                unresolved_wait = True
+    facts = _FnFacts(
+        writes=tuple(writes),
+        reads=tuple(reads),
+        notifies=tuple(notifies),
+        waits=tuple(waits),
+        self_calls=tuple(dict.fromkeys(self_calls)),
+        static_wait=static_wait,
+        unresolved_wait=unresolved_wait,
+        unresolved_notify=unresolved_notify,
+        yields_in_body=yields_in_body,
+        opaque_calls=opaque_calls,
+    )
     _FACTS_CACHE[code] = facts
     return facts
 

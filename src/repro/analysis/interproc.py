@@ -3,20 +3,19 @@
 The control-flow layer (:mod:`repro.analysis.cfg`) analyzes one function at
 a time: a thread body's wait-state machine classifies each ``yield`` site,
 but a *blocking call* (``yield from self.chan.put(x)``) is a single opaque
-``external`` state — what the callee can suspend on, which events it
-notifies, which locks it releases, all happen in a foreign frame.
+``external`` state — what the callee can suspend on, which locks it
+releases, all happen in a foreign frame.
 
-This module bridges that gap with per-callee **wait-effect summaries** —
-the transitive closure of wait kinds a method can suspend on, the events
-it waits on and notifies (as resolvable ``self.*`` paths), and the
-channels/locks it acquires and releases — memoized per ``(code object,
-owner class)`` with conservative ``unresolved`` degradation for
-recursion, foreign ``yield from`` of non-analyzable generators, and
-dynamic dispatch.  The consumer is the REP6xx ``interproc`` lint layer
-(:mod:`repro.analysis.lint`): :func:`lock_order_trace`,
-:func:`acquire_sites` and :func:`release_closure` feed the static
-wait-for/lock-order analysis that flags the paper's Section 5.4
-config-bus deadlock *before* simulation.
+This module bridges that gap on the live elaborated design, for the REP6xx
+``interproc`` lint layer (:mod:`repro.analysis.lint`):
+:func:`lock_order_trace` follows a thread's mutex acquire/release calls in
+source order, :func:`acquire_sites` resolves the blocking acquires of its
+wait-state machine, and :func:`release_closure` follows calls into
+same-object helpers and resolvable foreign methods to find every release a
+body can reach.  Together they feed the static wait-for/lock-order
+analysis that flags the paper's Section 5.4 config-bus deadlock *before*
+simulation.  The call sites come from the shared effect extractor
+(:mod:`repro.analysis.effects`), nested ``def``/``lambda`` bodies included.
 
 Everything follows the conservative contract of the other analysis
 layers: never raise; unsupported constructs degrade to ``unresolved``
@@ -25,23 +24,13 @@ with a reason, which consumers read as "anything could happen".
 
 from __future__ import annotations
 
-import ast
 import types
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .cfg import (
-    Path,
-    _fn_ast,
-    _self_path,
-    analyze_function,
-    analyze_process,
-    reachable_wait_states,
-)
+from .cfg import Path, _fn_ast, analyze_process, reachable_wait_states
 from .dataflow import _UNRESOLVED, _resolve_path
-
-#: Method names whose call *notifies* an event on the receiver path.
-_NOTIFY_METHODS = frozenset({"notify", "notify_delta"})
+from .effects import Effect, fn_effects
 
 #: Method names whose call *releases* a channel/lock on the receiver path.
 _RELEASE_METHODS = frozenset({"unlock", "post", "release"})
@@ -54,44 +43,6 @@ ACQUIRE_COUNTERPARTS = {
 }
 
 
-# --------------------------------------------------------------------------
-# Per-function wait-effect summaries
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WaitEffectSummary:
-    """Everything one function can do to the wait/notify state of a design.
-
-    Paths are ``self``-rooted *in the callee's frame* — consumers resolve
-    them on the live target object.  ``unresolved`` means some construct
-    escaped the static analysis (recursion, foreign ``yield from`` of an
-    unanalyzable generator, a yield in an expression position, source
-    unavailable); every field must then be read as "anything".
-    """
-
-    fn_name: str
-    #: Wait-state kinds reachable in the body ('timed', 'event',
-    #: 'anyof_timeout', 'external', 'static', 'unknown').
-    wait_kinds: FrozenSet[str] = frozenset()
-    #: Event paths of plain ``yield self.<...>`` waits.
-    waits_on: Tuple[Path, ...] = ()
-    #: Member event paths of composite (``AnyOf``) waits.
-    composite_waits: Tuple[Path, ...] = ()
-    #: Paths receiving ``.notify()`` / ``.notify_delta()`` (including
-    #: through spliced ``self`` helper calls).
-    notifies: Tuple[Path, ...] = ()
-    #: Blocking calls into other components: ``(target path, method)``.
-    acquires: Tuple[Tuple[Path, str], ...] = ()
-    #: ``.unlock()`` / ``.post()`` / ``.release()`` calls: the receiver
-    #: paths (including through spliced ``self`` helper calls).
-    releases: Tuple[Tuple[Path, str], ...] = ()
-    unresolved: bool = False
-    reason: str = ""
-
-
-_SUMMARY_CACHE: Dict[Tuple[object, Optional[type]], WaitEffectSummary] = {}
-
-
 def _plain_function(owner_type: Optional[type], method: str) -> Optional[types.FunctionType]:
     """``owner_type.method`` as a plain function, or None."""
     fn = getattr(owner_type, method, None)
@@ -99,102 +50,13 @@ def _plain_function(owner_type: Optional[type], method: str) -> Optional[types.F
     return fn if isinstance(fn, types.FunctionType) else None
 
 
-def _scan_calls(
-    owner_type: Optional[type],
-    func: types.FunctionType,
-    notifies: List[Path],
-    releases: List[Tuple[Path, str]],
-    _stack: Tuple[object, ...],
-) -> bool:
-    """AST scan for notify/release calls; recurses into ``self.helper()``
-    calls on the same object (zero-hop paths), mirroring the CFG builder's
-    helper splicing.  Returns False when source is unavailable."""
-    fn_node = _fn_ast(func)
-    if fn_node is None:
-        return False
-    for node in ast.walk(fn_node):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        attr = node.func.attr
-        path = _self_path(node.func.value)
-        if path is None:
-            continue
-        if path == ():
-            # A helper invoked on the same object: splice its effects in.
-            helper = _plain_function(owner_type, attr)
-            if helper is not None and not any(
-                helper.__code__ is c for c in _stack
-            ):
-                _scan_calls(
-                    owner_type, helper, notifies, releases,
-                    _stack + (helper.__code__,),
-                )
-            continue
-        if attr in _NOTIFY_METHODS:
-            notifies.append(path)
-        elif attr in _RELEASE_METHODS:
-            releases.append((path, attr))
-    return True
-
-
-def summarize_function(
-    owner_type: Optional[type], func: object
-) -> WaitEffectSummary:
-    """Wait-effect summary of one function, cached per (code, owner class).
-
-    Never raises: analysis failures return a summary with
-    ``unresolved=True`` and a human-readable reason.
-    """
-    func = getattr(func, "__func__", func)
-    code = getattr(func, "__code__", None)
-    fn_name = getattr(func, "__qualname__", getattr(func, "__name__", repr(func)))
-    if code is None or not isinstance(func, types.FunctionType):
-        return WaitEffectSummary(
-            fn_name, unresolved=True, reason="not a plain function"
-        )
-    key = (code, owner_type)
-    cached = _SUMMARY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    flow = analyze_function(owner_type, func)
-    if flow.unresolved or flow.machine is None:
-        summary = WaitEffectSummary(
-            fn_name, unresolved=True,
-            reason=flow.reason or "no wait-state machine",
-        )
-        _SUMMARY_CACHE[key] = summary
-        return summary
-    kinds: Set[str] = set()
-    waits_on: List[Path] = []
-    composite: List[Path] = []
-    acquires: List[Tuple[Path, str]] = []
-    for state in reachable_wait_states(flow.machine):
-        kinds.add(state.kind)
-        info = state.info
-        if info is None:
-            continue
-        if state.kind == "event" and info.target is not None:
-            waits_on.append(info.target)
-        elif state.kind in ("event", "anyof_timeout") and info.members:
-            composite.extend(info.members)
-        elif state.kind == "external" and info.target is not None:
-            acquires.append((info.target, info.method))
-    notifies: List[Path] = []
-    releases: List[Tuple[Path, str]] = []
-    scanned = _scan_calls(owner_type, func, notifies, releases, (code,))
-    summary = WaitEffectSummary(
-        fn_name,
-        wait_kinds=frozenset(kinds),
-        waits_on=tuple(waits_on),
-        composite_waits=tuple(composite),
-        notifies=tuple(notifies),
-        acquires=tuple(acquires),
-        releases=tuple(releases),
-        unresolved=not scanned,
-        reason="" if scanned else "source unavailable",
-    )
-    _SUMMARY_CACHE[key] = summary
-    return summary
+def _call_sites(func: types.FunctionType) -> Optional[List[Effect]]:
+    """``<receiver>.<method>(...)`` records of ``func``'s body in source
+    order, nested ``def``/``lambda`` bodies included (a release installed
+    as a callback still releases); None when the source is unavailable."""
+    if _fn_ast(func) is None:
+        return None
+    return [effect for effect in fn_effects(func) if effect.kind == "call"]
 
 
 # --------------------------------------------------------------------------
@@ -282,22 +144,19 @@ def lock_order_trace(process: object) -> LockTrace:
     if not isinstance(func, types.FunctionType):
         trace.unresolved = "not a plain function"
         return trace
-    fn_node = _fn_ast(func)
-    if fn_node is None:
+    calls = _call_sites(func)
+    if calls is None:
         trace.unresolved = "source unavailable"
         return trace
     held: List[object] = []
-    for node in ast.walk(fn_node):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        attr = node.func.attr
-        path = _self_path(node.func.value)
+    for call in calls:
+        attr, path = call.name, call.path
         if not path:
             if attr in ("lock", "unlock"):
                 # A lock call on a receiver that is not a self path could
                 # alias any mutex: the whole held-set is suspect.
                 trace.unresolved = (
-                    f"{attr} call on a non-self receiver (line {node.lineno})"
+                    f"{attr} call on a non-self receiver (line {call.lineno})"
                 )
                 return trace
             continue
@@ -309,7 +168,7 @@ def lock_order_trace(process: object) -> LockTrace:
                 )
                 return trace
             trace.acquisitions.append(
-                LockAcquisition(resolved, path, node.lineno, held=tuple(held))
+                LockAcquisition(resolved, path, call.lineno, held=tuple(held))
             )
             if resolved not in held:
                 held.append(resolved)
@@ -324,7 +183,7 @@ def lock_order_trace(process: object) -> LockTrace:
         elif _is_bus_transport(resolved, attr):
             if held:
                 trace.bus_calls_while_held.append(
-                    BusCallWhileHeld(resolved, path, attr, node.lineno, tuple(held))
+                    BusCallWhileHeld(resolved, path, attr, call.lineno, tuple(held))
                 )
     return trace
 
@@ -394,16 +253,13 @@ def release_closure(
     if key in _seen:
         return set(), True
     _seen.add(key)
-    fn_node = _fn_ast(func)
-    if fn_node is None:
+    calls = _call_sites(func)
+    if calls is None:
         return set(), False
     released: Set[int] = set()
     complete = True
-    for node in ast.walk(fn_node):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        attr = node.func.attr
-        path = _self_path(node.func.value)
+    for call in calls:
+        attr, path = call.name, call.path
         if path is None:
             continue
         if attr in _RELEASE_METHODS and path:

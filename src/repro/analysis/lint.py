@@ -404,9 +404,9 @@ def run_lint(
         dataflow analysis, which is built as needed), so they are opt-in.
     interproc:
         Set True to also run the interprocedural wait-effect rules
-        (REP6xx): the static wait-for/lock-order analysis over callee
-        wait-effect summaries (:mod:`repro.analysis.interproc`).  They
-        walk thread bodies *and* the methods those bodies block on, so
+        (REP6xx): the static wait-for/lock-order analysis over lock
+        traces and release closures (:mod:`repro.analysis.interproc`).
+        They walk thread bodies *and* the methods those bodies call, so
         they are opt-in.
     select, ignore:
         Code prefixes (comma-separated string or iterable) enabling or
@@ -478,7 +478,7 @@ def run_lint(
                 _run_layer("cfg", ctx, select_list, ignore_list, diagnostics)
         if interproc:
             # Each REP6xx rule builds what it needs lazily (lock traces,
-            # wait-effect summaries) and degrades to silence on unresolved
+            # acquire sites, release closures) and degrades to silence on unresolved
             # bodies; a genuinely crashing rule is caught per-rule by
             # _run_layer and reported as REP001.
             _run_layer("interproc", ctx, select_list, ignore_list, diagnostics)

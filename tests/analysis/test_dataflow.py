@@ -21,7 +21,10 @@ from repro.apps.soc import (
 )
 from repro.core import Netlist
 from repro.kernel import (
+    AllOf,
+    AnyOf,
     Event,
+    Fifo,
     Module,
     Port,
     Signal,
@@ -280,6 +283,63 @@ class RemoteDriver(Module):
             yield ns(20)
 
 
+class ScopeCorners(Module):
+    """One thread per corner of body reading (nested scopes, composite
+    waits, ``yield from``, ``.value`` on an alias); ``TestScopeCorners``
+    pins what :func:`summarize_process` makes of each."""
+
+    def __init__(self, name, parent=None, sim=None):
+        super().__init__(name, parent=parent, sim=sim)
+        self.go = Event(self.sim, "go")
+        self.done = Event(self.sim, "done")
+        self.out = Signal(self.sim, 0, name="out")
+        self.chan = Fifo(self.sim, capacity=1, name="chan")
+        self.peer = self.out
+        for body in (
+            self.nested_def,
+            self.nested_lambda,
+            self.mixed_anyof,
+            self.allof,
+            self.inlined_helper,
+            self.foreign_yield_from,
+            self.opaque_value,
+        ):
+            self.add_thread(body, name=body.__name__)
+
+    def nested_def(self):
+        def later():
+            self.go.notify()
+            self.out.write(1)
+            yield self.done
+
+        yield ns(1)
+
+    def nested_lambda(self):
+        self.hook = lambda: self.out.write(1) or self.go.notify()
+        yield ns(1)
+
+    def mixed_anyof(self):
+        other = self.peer
+        yield AnyOf([self.go, other.value_changed])
+
+    def allof(self):
+        yield AllOf([self.go, self.done])
+
+    def _wait_done(self):
+        yield self.done
+
+    def inlined_helper(self):
+        yield from self._wait_done()
+
+    def foreign_yield_from(self):
+        yield from self.chan.get()
+
+    def opaque_value(self):
+        item = self.peer
+        level = item.value
+        yield ns(level + 1)
+
+
 def _single(module_cls, net_name="net"):
     """Wrap one fixture module as a netlist with instance name ``dut``."""
     netlist = Netlist(net_name)
@@ -514,6 +574,52 @@ class TestSummaries:
             "net.dut.writer_a",
             "net.dut.writer_b",
         ]
+
+
+class TestScopeCorners:
+    """Constructs where the dataflow, CFG and interproc front ends must read
+    a body the same way (see also ``TestScopeCorners`` in test_interproc)."""
+
+    @pytest.fixture(scope="class")
+    def summaries(self):
+        design = _single(ScopeCorners).elaborate(Simulator())
+        dut = design["dut"]
+        by_name = {
+            p.name.rsplit(".", 1)[-1]: summarize_process(p) for p in processes_of(dut)
+        }
+        return dut, by_name
+
+    @pytest.mark.parametrize(
+        "body, waited, unresolved_wait, opaque",
+        [
+            # Nested scopes run elsewhere: neither their notify/write nor
+            # their yield belongs to this process.
+            ("nested_def", (), False, False),
+            ("nested_lambda", (), False, False),
+            # Resolvable members are kept even when a sibling escapes.
+            ("mixed_anyof", ("go",), True, False),
+            ("allof", ("go", "done"), False, False),
+            ("inlined_helper", ("done",), False, False),
+            ("foreign_yield_from", (), True, False),
+            # `.value` on a non-self expression may read any signal.
+            ("opaque_value", (), False, True),
+        ],
+    )
+    def test_summary(self, summaries, body, waited, unresolved_wait, opaque):
+        dut, by_name = summaries
+        summary = by_name[body]
+        assert summary.waited_events == [getattr(dut, name) for name in waited]
+        assert summary.unresolved_wait is unresolved_wait
+        assert summary.opaque_calls is opaque
+        assert summary.yields_in_body
+
+    @pytest.mark.parametrize("body", ["nested_def", "nested_lambda"])
+    def test_nested_scope_effects_ignored(self, summaries, body):
+        _, by_name = summaries
+        summary = by_name[body]
+        assert summary.notified_events == []
+        assert summary.signal_writes == []
+        assert not summary.unresolved_notify
 
 
 # ---------------------------------------------------------------------------

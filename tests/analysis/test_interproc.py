@@ -1,7 +1,7 @@
 """Interprocedural wait-effect analysis and the REP6xx lint layer.
 
-Covers the per-callee summaries, the lock-order / acquire-release traces,
-and the four interproc lint rules — including the acceptance pair: REP601
+Covers the lock-order / acquire-release traces and the four interproc
+lint rules — including the acceptance pair: REP601
 statically predicts exactly the Section 5.4 deadlock
 ``examples/deadlock_demo.py`` hits dynamically, and the two reports
 cross-reference each other.
@@ -10,6 +10,8 @@ Classes live at file scope because the analyzers read bodies with
 ``inspect.getsource``.
 """
 
+import inspect
+
 import pytest
 
 from repro.analysis.deadlock import diagnose
@@ -17,7 +19,6 @@ from repro.analysis.interproc import (
     acquire_sites,
     lock_order_trace,
     release_closure,
-    summarize_function,
 )
 from repro.analysis.lint import (
     DEADLOCK_RULE_CODE,
@@ -27,7 +28,6 @@ from repro.analysis.lint import (
 )
 from repro.apps import JobRunner, frame_interleaved_jobs, make_reconfigurable_netlist
 from repro.kernel import (
-    Event,
     Fifo,
     Module,
     Mutex,
@@ -48,35 +48,6 @@ def interproc_lint(design):
 # ---------------------------------------------------------------------------
 # Subject classes
 # ---------------------------------------------------------------------------
-
-class HandshakeChannel:
-    """A user-defined rendezvous channel."""
-
-    def __init__(self, sim, name="hs"):
-        self.sim = sim
-        self._full = Event(sim, f"{name}.full")
-        self._empty = Event(sim, f"{name}.empty")
-        self._item = None
-        self._has = False
-
-    def _publish(self):
-        self._has = True
-        self._full.notify_delta()
-
-    def send(self, item):
-        while self._has:
-            yield self._empty
-        self._item = item
-        self._publish()  # notify through a helper: the scan must splice it
-
-    def recv(self):
-        while not self._has:
-            yield self._full
-        item = self._item
-        self._has = False
-        self._empty.notify_delta()
-        return item
-
 
 class InvertedLocksTop(Module):
     def __init__(self, name, sim):
@@ -144,6 +115,43 @@ class BuriedReleaseTop(LonelyAcquireTop):
         self._kick()
 
 
+class LambdaPostTop(LonelyAcquireTop):
+    """The only post sits in a callback lambda the thread installs."""
+
+    def other(self):
+        self.on_done = lambda: self.sem.post()
+        yield ns(5)
+
+
+class LambdaUnlockTop(InvertedLocksTop):
+    """The unlocks sit in a nested callback the thread installs."""
+
+    def worker_a(self):
+        yield from self.m1.lock("a")
+
+        def release():
+            self.m1.unlock()
+
+        self.on_done = release
+        yield ns(5)
+
+    def worker_b(self):
+        yield from self.m2.lock("b")
+        self.on_done = lambda: self.m2.unlock()
+        yield ns(5)
+
+
+class SequentialLocksTop(InvertedLocksTop):
+    """worker_a never holds two mutexes at once, so worker_b's m2-then-m1
+    order inverts nothing."""
+
+    def worker_a(self):
+        yield from self.m1.lock("a")
+        self.m1.unlock()
+        yield from self.m2.lock("a")
+        self.m2.unlock()
+
+
 class UnresolvedLockTop(Module):
     """Locks through a container lookup the resolver cannot follow."""
 
@@ -154,38 +162,6 @@ class UnresolvedLockTop(Module):
 
     def worker(self):
         yield from self.locks.popitem()[1].lock("w")
-
-
-# ---------------------------------------------------------------------------
-# Wait-effect summaries
-# ---------------------------------------------------------------------------
-
-class TestWaitEffectSummaries:
-    def test_channel_send_summary(self):
-        summary = summarize_function(HandshakeChannel, HandshakeChannel.send)
-        assert not summary.unresolved
-        assert summary.wait_kinds == {"event"}
-        assert ("_empty",) in summary.waits_on
-        # The notify happens inside the _publish helper — spliced in.
-        assert ("_full",) in summary.notifies
-
-    def test_summary_memoized_per_code_and_owner(self):
-        first = summarize_function(HandshakeChannel, HandshakeChannel.recv)
-        again = summarize_function(HandshakeChannel, HandshakeChannel.recv)
-        assert first is again
-
-    def test_mutex_unlock_counts_as_release(self):
-        summary = summarize_function(
-            InvertedLocksTop, InvertedLocksTop.worker_a
-        )
-        assert (("m1",), "unlock") in summary.releases
-        assert (("m2",), "unlock") in summary.releases
-        assert (("m1",), "lock") in summary.acquires
-
-    def test_non_function_degrades_unresolved(self):
-        summary = summarize_function(None, object())
-        assert summary.unresolved
-        assert summary.reason
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +201,32 @@ class TestTraces:
         released, complete = release_closure(top, thread.fn)
         assert complete
         assert id(top.sem) in released
+
+
+class TestScopeCorners:
+    """The interproc scans see nested scopes: a release installed as a
+    callback still counts (``summarize_process`` ignores such bodies, see
+    ``TestScopeCorners`` in test_dataflow)."""
+
+    @pytest.mark.parametrize(
+        "top_cls, thread, releasable",
+        [
+            (LambdaPostTop, "other", "sem"),
+            (LambdaUnlockTop, "worker_a", "m1"),
+            (LambdaUnlockTop, "worker_b", "m2"),
+        ],
+        ids=["post-in-lambda", "unlock-in-def", "unlock-in-lambda"],
+    )
+    def test_release_closure_sees_nested_scopes(self, top_cls, thread, releasable):
+        top = top_cls("t", Simulator())
+        proc = {p.name.rsplit(".", 1)[-1]: p for p in processes_of(top)}[thread]
+        released, complete = release_closure(top, proc.fn)
+        assert complete
+        assert id(getattr(top, releasable)) in released
+
+    def test_lambda_post_satisfies_rep604(self):
+        top = LambdaPostTop("t", Simulator())
+        assert not interproc_lint(top).by_code("REP604")
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,31 @@ class TestLockOrderRule:
         sim = Simulator()
         top = OrderedLocksTop("t", sim)
         assert not interproc_lint(top).by_code("REP602")
+
+    def test_release_before_next_lock_is_silent(self):
+        """The trace follows source order: m1 is released before m2 is
+        taken, even though the release is shallower in the AST."""
+        top = SequentialLocksTop("t", Simulator())
+        trace = lock_order_trace(
+            {p.name.rsplit(".", 1)[-1]: p for p in processes_of(top)}["worker_a"]
+        )
+        assert [(a.path, a.held) for a in trace.acquisitions] == [
+            (("m1",), ()),
+            (("m2",), ()),
+        ]
+        assert not interproc_lint(top).by_code("REP602")
+
+    def test_message_names_file_lines(self):
+        def file_line(func, needle):
+            lines, first = inspect.getsourcelines(func)
+            return first + next(i for i, line in enumerate(lines) if needle in line)
+
+        top = InvertedLocksTop("t", Simulator())
+        (diag,) = interproc_lint(top).by_code("REP602")
+        line_a = file_line(InvertedLocksTop.worker_a, 'self.m2.lock("a")')
+        line_b = file_line(InvertedLocksTop.worker_b, 'self.m1.lock("b")')
+        assert f"(line {line_a})" in diag.message
+        assert f"(line {line_b})" in diag.message
 
 
 class TestBlockingWhileLockedRule:
