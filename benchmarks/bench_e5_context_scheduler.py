@@ -12,7 +12,7 @@ time (step 5).
 
 import pytest
 
-from repro.analysis import per_context_rows
+from repro.core import per_context_rows
 from repro.dse import format_table
 from repro.kernel import us
 from tests.core.helpers import DrcfRig, small_tech

@@ -10,10 +10,9 @@ Expected shape: deadlock occurs *iff* (blocking protocol AND shared bus).
 
 import pytest
 
-from repro.analysis import diagnose
 from repro.apps import JobRunner, frame_interleaved_jobs, make_reconfigurable_netlist
 from repro.dse import format_table
-from repro.kernel import Simulator
+from repro.kernel import Simulator, diagnose
 from repro.tech import VIRTEX2PRO
 
 CONFIGS = [

@@ -18,13 +18,12 @@ Three runs of the same workload:
 Run:  python examples/deadlock_demo.py
 """
 
-from repro.analysis import diagnose
 from repro.apps import (
     JobRunner,
     frame_interleaved_jobs,
     make_reconfigurable_netlist,
 )
-from repro.kernel import Simulator
+from repro.kernel import Simulator, diagnose
 from repro.tech import VIRTEX2PRO
 
 

@@ -12,7 +12,6 @@ configuration traffic that appeared on the memory bus.
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import collect_run_metrics, per_context_rows
 from repro.apps import (
     JobRunner,
     frame_interleaved_jobs,
@@ -20,6 +19,7 @@ from repro.apps import (
     make_baseline_netlist,
     make_reconfigurable_netlist,
 )
+from repro.core import collect_run_metrics, per_context_rows
 from repro.dse import format_table
 from repro.kernel import Simulator
 from repro.tech import VIRTEX2PRO

@@ -5,7 +5,8 @@ RAW/IPDPS 2003, ADRIATIC project).
 Package map
 -----------
 ``repro.kernel``
-    SystemC-2.0-like discrete-event simulation kernel (the substrate).
+    SystemC-2.0-like discrete-event simulation kernel (the substrate),
+    with deadlock diagnosis and the watchdog's post-mortem.
 ``repro.bus``
     Arbitrated shared bus, memories, DMA, traffic monitor.
 ``repro.cpu``
@@ -13,7 +14,7 @@ Package map
 ``repro.core``
     The paper's contribution: the DRCF component, context scheduler,
     automatic model transformation, codegen, and the future-work
-    extensions (prefetch, power, partial reconfiguration).
+    extensions (prefetch, power, partial reconfiguration), run metrics.
 ``repro.tech``
     Technology parameter library (Virtex-II Pro, VariCore, MorphoSys,
     ASIC) and the Figure 2 efficiency bands.
@@ -22,7 +23,7 @@ Package map
 ``repro.dse``
     Design-space exploration: sweeps, Pareto analysis, the ADRIATIC flow.
 ``repro.analysis``
-    Metrics aggregation and deadlock diagnosis.
+    Static model lint (``repro lint``); simulation runs never load it.
 ``repro.faults``
     Fault-injection campaigns and dependability metrics for the DRCF's
     recovery policies (``repro.core.recovery``).

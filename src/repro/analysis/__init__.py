@@ -1,4 +1,4 @@
-"""Post-run analysis: metric aggregation, deadlock diagnosis, static lint."""
+"""Static model lint: dataflow, control-flow and interprocedural analyses."""
 
 from .cfg import (
     Cfg,
@@ -15,7 +15,6 @@ from .dataflow import (
     cross_check,
     summarize_process,
 )
-from .deadlock import BlockedProcess, DeadlockReport, diagnose, watchdog_report
 from .interproc import (
     AcquireSite,
     LockTrace,
@@ -36,14 +35,11 @@ from .lint import (
     rule,
     run_lint,
 )
-from .metrics import RunReport, collect_run_metrics, per_context_rows, speedup
 
 __all__ = [
     "AcquireSite",
-    "BlockedProcess",
     "Cfg",
     "DEADLOCK_RULE_CODE",
-    "DeadlockReport",
     "DesignDataflow",
     "Diagnostic",
     "FunctionControlFlow",
@@ -54,7 +50,6 @@ __all__ = [
     "ProcessSummary",
     "RULES",
     "Rule",
-    "RunReport",
     "STATIC_DEADLOCK_RULE_CODE",
     "SignalUse",
     "WaitStateMachine",
@@ -62,16 +57,11 @@ __all__ = [
     "all_rule_codes",
     "analyze_function",
     "analyze_process",
-    "collect_run_metrics",
     "cross_check",
-    "diagnose",
     "lock_order_trace",
-    "per_context_rows",
     "register_rule",
     "release_closure",
     "rule",
     "run_lint",
-    "speedup",
     "summarize_process",
-    "watchdog_report",
 ]

@@ -42,6 +42,7 @@ from ..bus import Bus, BusMasterIf, BusSlaveIf
 from ..core.drcf import Drcf
 from ..core.netlist import ComponentSpec, ElaboratedDesign, Netlist
 from ..kernel import Module, Simulator, ports_of, processes_of, signals_of
+from ..kernel.deadlock import DEADLOCK_RULE_CODE, STATIC_DEADLOCK_RULE_CODE
 from .cfg import (
     ProcessControlFlow,
     analyze_process,
@@ -52,19 +53,6 @@ from .cfg import (
 )
 from .dataflow import DesignDataflow
 from .interproc import ACQUIRE_COUNTERPARTS, LockTrace, acquire_sites, lock_order_trace, release_closure
-
-#: The code of the limitation-3 (blocking-bus deadlock) precondition rule.
-#: The runtime deadlock diagnosis (:mod:`repro.analysis.deadlock`) cross-
-#: references it so post-mortem reports point back at the static check
-#: that would have caught the architecture before any simulation ran.
-DEADLOCK_RULE_CODE = "REP310"
-
-#: The code of the interprocedural wait-for-cycle rule (REP601): the
-#: *live-design* sharpening of :data:`DEADLOCK_RULE_CODE`, proven on the
-#: elaborated hierarchy (binding chains, live bus protocol, registered
-#: slaves) rather than on netlist specs.  The runtime post-mortem
-#: cross-references both.
-STATIC_DEADLOCK_RULE_CODE = "REP601"
 
 #: Diagnostic severities, most severe first.
 SEVERITIES = ("error", "warning", "info")
@@ -1603,7 +1591,7 @@ def _check_static_wait_for_cycle(ctx: LintContext) -> Iterator[CheckResult]:
     the netlist-level REP310 precondition — binding chains, the live bus
     protocol and the registered slave set are checked, not spec kwargs —
     and is the static twin of the runtime post-mortem
-    (:func:`repro.analysis.deadlock.diagnose`), which cross-references
+    (:func:`repro.kernel.deadlock.diagnose`), which cross-references
     this code in its reports."""
     edges, objects = _wait_for_graph(ctx.top)
     for drcf in _drcfs_of(ctx.top):
@@ -1620,7 +1608,7 @@ def _check_static_wait_for_cycle(ctx: LintContext) -> Iterator[CheckResult]:
             "context switch blocks the bus its own configuration fetch "
             "needs, so the system deadlocks (paper Section 5.4, "
             "limitation 3; runtime twin: REP310 / "
-            "analysis.deadlock.diagnose)",
+            "kernel.deadlock.diagnose)",
             'use protocol="split" on the bus, or fetch bitstreams over a '
             "dedicated configuration bus (dedicated_config_bus)",
         )
@@ -1659,14 +1647,14 @@ def _check_lock_order_inversion(ctx: LintContext) -> Iterator[CheckResult]:
                     (id(held), id(acq.mutex)),
                     (trace.name, acq.lineno, held, acq.mutex),
                 )
+    reported = set()
     for (held_id, taken_id), (name, lineno, held, taken) in sorted(
-        holders.items(), key=lambda kv: kv[1][0]
+        holders.items(), key=lambda kv: kv[1][:2]
     ):
-        if held_id >= taken_id:
-            continue  # report each inverted pair once
         reverse = holders.get((taken_id, held_id))
-        if reverse is None:
-            continue
+        if reverse is None or (taken_id, held_id) in reported:
+            continue  # report each inverted pair once, from its earlier side
+        reported.add((held_id, taken_id))
         other_name, other_lineno, _, _ = reverse
         yield (
             name,

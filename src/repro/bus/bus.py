@@ -238,10 +238,10 @@ class Bus(Module, BusMasterIf):
         while it ends strictly before the kernel's next timed action and
         not past the run's ``until``; the window needs a quiet kernel
         (:meth:`Simulator.quiet_until_fs`), an idle arbiter that already
-        knows ``master``, no monitor listener, and a :class:`Memory`
-        slave with no fault hook that holds every burst of the window.
+        knows ``master``, and a :class:`Memory` slave with no fault hook
+        that holds every burst of the window.
         """
-        if self.monitor.listeners or not self.arbiter.idle_for(master):
+        if not self.arbiter.idle_for(master):
             return None
         limit = self.sim.quiet_until_fs()
         if limit is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..kernel import Interface, SimTime
 
@@ -85,6 +85,7 @@ class BusMasterIf(Interface):
     ):
         """Arbitrate, decode and perform a burst write (generator)."""
 
+    @abc.abstractmethod
     def read_train(
         self,
         addr: int,
@@ -101,19 +102,8 @@ class BusMasterIf(Interface):
         Bursts carry at most ``burst_words`` words each and advance the
         address by ``word_bytes`` per word.  Returns the words in order, or
         None when ``content`` is false: the caller then wants only the
-        train's timing and traffic.  This default issues one :meth:`read`
-        per burst; :class:`~repro.bus.Bus` overrides it with a
-        burst-coalescing fast path.
+        train's timing and traffic.
         """
-        words: Optional[List[int]] = [] if content else None
-        while n_words > 0:
-            chunk = min(burst_words, n_words)
-            data = yield from self.read(addr, chunk, master=master, tags=tags)
-            if words is not None:
-                words.extend(data)
-            addr += chunk * word_bytes
-            n_words -= chunk
-        return words
 
 
 class InterruptIf(Interface):

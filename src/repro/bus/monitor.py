@@ -10,7 +10,7 @@ cost against computation.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..kernel import SimTime, ZERO_TIME
 from .interfaces import Transaction
@@ -23,15 +23,12 @@ class BusMonitor:
         self.name = name
         self.transactions: List[Transaction] = []
         self._busy_fs = 0
-        self.listeners: List[Callable[[Transaction], None]] = []
 
     # -- recording -----------------------------------------------------------
     def record(self, txn: Transaction) -> None:
         """Record one completed transaction (called by the bus)."""
         self.transactions.append(txn)
         self._busy_fs += txn.completed_at.femtoseconds - txn.granted_at.femtoseconds
-        for listener in self.listeners:
-            listener(txn)
 
     # -- aggregate queries -------------------------------------------------------
     @property

@@ -476,10 +476,9 @@ def cmd_inject(args) -> int:
 
 
 def cmd_deadlock(args) -> int:
-    from .analysis import diagnose
     from .apps import JobRunner, frame_interleaved_jobs, make_reconfigurable_netlist
     from .dse import format_table
-    from .kernel import Simulator
+    from .kernel import Simulator, diagnose
     from .tech import VIRTEX2PRO
 
     rows = []

@@ -10,6 +10,8 @@
 * :mod:`~repro.core.prefetch`, :mod:`~repro.core.power`, area slots in
   :mod:`~repro.core.policies` — the paper's future-work extensions
   (background loading, power accounting, partial reconfiguration).
+* :mod:`~repro.core.metrics` — the run-level metric report the examples
+  and benches print.
 """
 
 from .baseline_ref8 import Ref8Drcf
@@ -24,6 +26,7 @@ from .codegen import (
 )
 from .context import Context, ContextParameters, context_parameters_for
 from .drcf import Drcf
+from .metrics import RunReport, collect_run_metrics, per_context_rows
 from .netlist import ComponentSpec, ElaboratedDesign, Netlist
 from .policies import (
     AreaSlotManager,
@@ -103,6 +106,7 @@ __all__ = [
     "Ref8Drcf",
     "ReplacementPolicy",
     "RoundRobinPredictor",
+    "RunReport",
     "SequencePredictor",
     "Slot",
     "SlotManager",
@@ -111,6 +115,7 @@ __all__ = [
     "TransformResult",
     "analyze_instance",
     "analyze_module_spec",
+    "collect_run_metrics",
     "context_parameters_for",
     "default_env",
     "exec_build_source",
@@ -118,5 +123,6 @@ __all__ = [
     "generate_drcf_listing",
     "generate_transformation_diff",
     "make_policy",
+    "per_context_rows",
     "transform_to_drcf",
 ]

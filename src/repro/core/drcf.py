@@ -95,8 +95,6 @@ class Drcf(Module, BusSlaveIf):
         use_area_slots: bool = False,
         fabric_capacity_gates: Optional[int] = None,
         config_cache_bytes: Optional[int] = None,
-        verify_config: bool = False,
-        max_fetch_retries: int = 2,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> None:
         super().__init__(name, parent=parent, sim=sim)
@@ -118,14 +116,11 @@ class Drcf(Module, BusSlaveIf):
         self.tech = tech
         self.config_burst_words = config_burst_words
         self.word_bytes = word_bytes
-        # Integrity modeling: checksum every fetched bitstream against the
-        # context's expected value (fine-grain devices CRC each frame) and
-        # refetch on mismatch, up to max_fetch_retries extra attempts.  The
-        # legacy verify_config/max_fetch_retries pair is subsumed by the
-        # richer RecoveryPolicy (backoff, scrubbing, timeout, fallback).
-        if recovery is None:
-            recovery = RecoveryPolicy(verify=verify_config, max_retries=max_fetch_retries)
-        self.recovery = recovery
+        # Integrity modeling: the recovery policy decides whether each
+        # fetched bitstream is checked against the context's expected value
+        # (fine-grain devices CRC each frame) and how a mismatch is handled
+        # (bounded refetch, backoff, scrubbing, timeout, fallback).
+        self.recovery = recovery or RecoveryPolicy()
         #: Fault injector hook surface (repro.faults); None = disarmed, and
         #: the fetch path pays one ``is None`` test for it.
         self.fault_hook = None
@@ -181,16 +176,6 @@ class Drcf(Module, BusSlaveIf):
         self._maybe_start_scrubber()
 
     # -- recovery policy -----------------------------------------------------------
-    @property
-    def verify_config(self) -> bool:
-        """Back-compat mirror of :attr:`recovery`.verify."""
-        return self.recovery.verify
-
-    @property
-    def max_fetch_retries(self) -> int:
-        """Back-compat mirror of :attr:`recovery`.max_retries."""
-        return self.recovery.max_retries
-
     def set_recovery(self, recovery: RecoveryPolicy) -> None:
         """Select a recovery policy (campaigns call this post-elaboration)."""
         self.recovery = recovery

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..bus import Bus
-from ..core import Drcf, PowerModel
 from ..kernel import Simulator
+from .drcf import Drcf
+from .power import PowerModel
 
 
 @dataclass
@@ -89,10 +90,3 @@ def per_context_rows(drcf: Drcf) -> List[Dict[str, object]]:
     for name, stats in summary.items():
         rows.append({"context": name, **stats})
     return rows
-
-
-def speedup(reference_us: float, candidate_us: float) -> float:
-    """Reference/candidate ratio (>1 means the candidate is faster)."""
-    if candidate_us <= 0:
-        raise ValueError("candidate time must be positive")
-    return reference_us / candidate_us

@@ -21,9 +21,8 @@ examples and documentation can show the full flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from ..analysis.lint import LintReport, run_lint
 from ..apps import (
     JobRunner,
     frame_interleaved_jobs,
@@ -40,6 +39,9 @@ from .partition import (
     profiles_from_run,
     recommend_candidates,
 )
+
+if TYPE_CHECKING:
+    from ..analysis.lint import LintReport
 
 
 @dataclass
@@ -143,7 +145,10 @@ class AdriaticFlow:
 
         # Stage 2: architecture template (Figure 1a), statically verified
         # before anything simulates: a template that fails the model lint
-        # would waste every later stage.
+        # would waste every later stage.  The lint is imported here, not at
+        # module level, so simulation-only users of repro.dse never load it.
+        from ..analysis.lint import run_lint
+
         baseline, info = make_baseline_netlist(self.accels)
         baseline_lint = run_lint(baseline, dataflow=True)
         if baseline_lint.has_errors:

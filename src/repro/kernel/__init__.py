@@ -7,7 +7,8 @@ hierarchical modules, ports bound to interfaces (port-to-port chaining
 plays the role of ``sc_export``), events with immediate/delta/timed
 notification, signals with evaluate/update semantics, coroutine thread
 processes and callback method processes, pausable clocks, blocking
-channels, fixed-width datatypes and waveform tracing.
+channels, fixed-width datatypes, waveform tracing and deadlock/watchdog
+post-mortems.
 
 Quick tour::
 
@@ -32,6 +33,7 @@ Quick tour::
 
 from .channels import Fifo, Mutex, Semaphore
 from .datatypes import BitVector, saturate_signed, sint, uint
+from .deadlock import BlockedProcess, DeadlockReport, diagnose, watchdog_report
 from .errors import (
     BindingError,
     DeadlockError,
@@ -55,8 +57,10 @@ __all__ = [
     "AnyOf",
     "BindingError",
     "BitVector",
+    "BlockedProcess",
     "Clock",
     "DeadlockError",
+    "DeadlockReport",
     "ElaborationError",
     "Event",
     "Fifo",
@@ -82,6 +86,7 @@ __all__ = [
     "VcdTracer",
     "ZERO_TIME",
     "cycles_to_time",
+    "diagnose",
     "events_of",
     "fs",
     "implemented_interfaces",
@@ -96,4 +101,5 @@ __all__ = [
     "sint",
     "uint",
     "us",
+    "watchdog_report",
 ]

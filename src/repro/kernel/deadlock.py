@@ -16,11 +16,23 @@ report — experiment E7 reproduces exactly the paper's condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..bus import Bus
-from ..kernel import Simulator
-from .lint import DEADLOCK_RULE_CODE, STATIC_DEADLOCK_RULE_CODE
+if TYPE_CHECKING:
+    from ..bus import Bus
+    from .simulator import Simulator
+
+#: The code of the limitation-3 (blocking-bus deadlock) precondition rule
+#: of the static lint (:mod:`repro.analysis.lint`).  Reports cross-reference
+#: it so a post-mortem points back at the static check that would have
+#: caught the architecture before any simulation ran.
+DEADLOCK_RULE_CODE = "REP310"
+
+#: The code of the interprocedural wait-for-cycle rule (REP601): the
+#: *live-design* sharpening of :data:`DEADLOCK_RULE_CODE`, proven on the
+#: elaborated hierarchy (binding chains, live bus protocol, registered
+#: slaves) rather than on netlist specs.  Reports cross-reference both.
+STATIC_DEADLOCK_RULE_CODE = "REP601"
 
 
 @dataclass
@@ -118,11 +130,10 @@ def diagnose(sim: Simulator, buses: Sequence[Bus] = ()) -> DeadlockReport:
 def watchdog_report(sim: Simulator, wall_s: float) -> DeadlockReport:
     """Post-mortem for a run tripped by the wall-clock watchdog.
 
-    Called by the kernel (lazily, so the kernel keeps working without the
-    analysis layer) when ``Simulator.run(max_wall_s=...)`` expires.  Unlike
-    :func:`diagnose` this runs on a *stopped*, not starved, simulation:
-    processes parked on timeouts are still listed because in a livelock the
-    timeouts are exactly what keeps the hang alive.
+    Called by the kernel when ``Simulator.run(max_wall_s=...)`` expires.
+    Unlike :func:`diagnose` this runs on a *stopped*, not starved,
+    simulation: processes parked on timeouts are still listed because in a
+    livelock the timeouts are exactly what keeps the hang alive.
     """
     blocked = [
         BlockedProcess(name=p.name, waiting_on=p.wait_description or "?")

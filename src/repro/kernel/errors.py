@@ -53,5 +53,5 @@ class DeadlockError(SimulationError):
 
     The kernel itself never raises this spontaneously; see
     :meth:`repro.kernel.simulator.Simulator.run` with ``error_on_deadlock``
-    and :mod:`repro.analysis.deadlock` for diagnosis helpers.
+    and :mod:`repro.kernel.deadlock` for diagnosis helpers.
     """

@@ -39,6 +39,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
+from .deadlock import watchdog_report
 from .errors import DeadlockError, ElaborationError, SchedulingError
 from .event import Event
 from .process import Process, ProcessState, ThreadProcess
@@ -121,9 +122,8 @@ class Simulator:
         self.trace_hooks: List[Callable[[SimTime], None]] = []
         #: True when the last run was stopped by the wall-clock watchdog.
         self.watchdog_fired = False
-        #: Post-mortem attached by the watchdog (an
-        #: :class:`~repro.analysis.deadlock.DeadlockReport` when the
-        #: analysis layer is importable, else None).
+        #: Post-mortem attached by the watchdog: a
+        #: :class:`~repro.kernel.deadlock.DeadlockReport` once it trips.
         self.watchdog_report = None
         #: The process being executed by the evaluation phase right now
         #: (None between processes and outside run()).  Lets channel hooks
@@ -452,18 +452,11 @@ class Simulator:
     def _trip_watchdog(self, max_wall_s: float) -> None:
         """Stop the run: the wall-clock budget is exhausted.
 
-        Attaches a post-mortem (:func:`repro.analysis.deadlock.watchdog_report`)
-        when the analysis layer is importable; the kernel itself stays
-        dependency-free, so the import is lazy and failure-tolerant.
+        Attaches a post-mortem (:func:`repro.kernel.deadlock.watchdog_report`).
         """
         self.watchdog_fired = True
         self._stop_requested = True
-        try:
-            from ..analysis.deadlock import watchdog_report
-        except ImportError:  # kernel used standalone, no analysis layer
-            self.watchdog_report = None
-        else:
-            self.watchdog_report = watchdog_report(self, max_wall_s)
+        self.watchdog_report = watchdog_report(self, max_wall_s)
 
     def _pop_next_timed(self) -> Optional[TimedAction]:
         timed_heap = self._timed_heap
@@ -479,7 +472,7 @@ class Simulator:
 
         After a run ends by starvation, any entry here whose wait is not a
         timeout indicates a process that can never resume — the raw material
-        for deadlock analysis (:mod:`repro.analysis.deadlock`).
+        for deadlock analysis (:mod:`repro.kernel.deadlock`).
         """
         return [
             p

@@ -14,7 +14,6 @@ import inspect
 
 import pytest
 
-from repro.analysis.deadlock import diagnose
 from repro.analysis.interproc import (
     acquire_sites,
     lock_order_trace,
@@ -33,6 +32,7 @@ from repro.kernel import (
     Mutex,
     Semaphore,
     Simulator,
+    diagnose,
     ns,
     processes_of,
 )
@@ -68,6 +68,17 @@ class InvertedLocksTop(Module):
         yield from self.m1.lock("b")
         self.m1.unlock()
         self.m2.unlock()
+
+
+class ReversedMutexesTop(InvertedLocksTop):
+    """InvertedLocksTop with its mutexes created in the other order."""
+
+    def __init__(self, name, sim):
+        Module.__init__(self, name, sim=sim)
+        self.m2 = Mutex(sim, "m2")
+        self.m1 = Mutex(sim, "m1")
+        self.add_thread(self.worker_a)
+        self.add_thread(self.worker_b)
 
 
 class OrderedLocksTop(InvertedLocksTop):
@@ -330,6 +341,18 @@ class TestLockOrderRule:
         line_b = file_line(InvertedLocksTop.worker_b, 'self.m1.lock("b")')
         assert f"(line {line_a})" in diag.message
         assert f"(line {line_b})" in diag.message
+
+    def test_attribution_ignores_mutex_creation_order(self):
+        """The reporting thread is picked by (thread name, line), not by
+        which mutex object happens to sit at the lower address."""
+        seen = set()
+        for top_class in (InvertedLocksTop, ReversedMutexesTop) * 3:
+            (diag,) = interproc_lint(top_class("t", Simulator())).by_code("REP602")
+            seen.add((diag.location, diag.message))
+        assert len(seen) == 1
+        ((location, message),) = seen
+        assert location == "t.worker_a"
+        assert message.startswith("acquires mutex 'm2' while holding 'm1'")
 
 
 class TestBlockingWhileLockedRule:

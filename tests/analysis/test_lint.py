@@ -517,7 +517,7 @@ class TestIntrospectionHelpers:
         assert all(callable(p.fn) for p in procs)
 
     def test_deadlock_report_cross_references_static_rule(self):
-        from repro.analysis import DeadlockReport
+        from repro.kernel import DeadlockReport
 
         report = DeadlockReport(deadlocked=True)
         assert DEADLOCK_RULE_CODE in report.render()

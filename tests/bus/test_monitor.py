@@ -58,13 +58,6 @@ class TestAggregation:
         assert t.latency == ns(35)
         assert not t.has_tag("config")
 
-    def test_listeners_called(self):
-        monitor = BusMonitor()
-        seen = []
-        monitor.listeners.append(lambda t: seen.append(t.words))
-        monitor.record(txn(words=3))
-        assert seen == [3]
-
     def test_reset(self):
         monitor = BusMonitor()
         monitor.record(txn())

@@ -1,8 +1,6 @@
 """Run-level metric aggregation."""
 
-import pytest
-
-from repro.analysis import collect_run_metrics, per_context_rows, speedup
+from repro.core import collect_run_metrics, per_context_rows
 from tests.core.helpers import DrcfRig
 
 
@@ -58,13 +56,3 @@ class TestPerContextRows:
         for row in rows:
             assert row["calls"] == 1
             assert row["reconfigurations"] == 1
-
-
-class TestSpeedup:
-    def test_ratio(self):
-        assert speedup(100.0, 50.0) == 2.0
-        assert speedup(50.0, 100.0) == 0.5
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)

@@ -6,8 +6,8 @@ hook armed, nothing checking the words) or carries its words back.  Each
 design here runs up to four times, through switches that already exist:
 
 * ``fast``: as built (coalescing wherever it is allowed);
-* ``per_burst``: a no-op :class:`~repro.bus.BusMonitor` listener, which
-  forbids coalescing;
+* ``per_burst``: a no-op ``sim.trace_hooks`` entry, which keeps the
+  kernel from ever being quiet and so forbids coalescing;
 * ``content``: a pass-through DRCF fault hook, which makes the fetch carry
   its words;
 * ``content_per_burst``: both.
@@ -70,7 +70,7 @@ def apply_mode(modules, mode: str) -> None:
     """Switch a design to ``mode`` through its existing hooks."""
     for module in modules:
         if mode.endswith("per_burst") and isinstance(module, Bus):
-            module.monitor.listeners.append(lambda txn: None)
+            module.sim.trace_hooks.append(lambda now: None)
         elif mode.startswith("content") and isinstance(module, Drcf):
             module.fault_hook = PassThroughHook()
 

@@ -1,12 +1,11 @@
 """Deadlock diagnosis (Section 5.4 limitation 3)."""
 
-from repro.analysis import diagnose
 from repro.apps import (
     JobRunner,
     frame_interleaved_jobs,
     make_reconfigurable_netlist,
 )
-from repro.kernel import Event, Simulator, ns
+from repro.kernel import Event, Simulator, diagnose, ns
 from repro.tech import VIRTEX2PRO
 
 

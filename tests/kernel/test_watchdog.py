@@ -3,6 +3,7 @@
 import pytest
 
 from repro.kernel import Simulator, ns, us
+from repro.kernel.deadlock import DeadlockReport
 
 
 def spinner(sim):
@@ -32,9 +33,8 @@ class TestWatchdog:
         spinner(sim)
         sim.run(max_wall_s=0.05)
         assert sim.watchdog_fired is True
-        # The analysis layer is importable here, so a post-mortem attaches.
         report = sim.watchdog_report
-        assert report is not None
+        assert isinstance(report, DeadlockReport)
         assert report.watchdog is True
         assert report.wall_s == pytest.approx(0.05)
         assert "WATCHDOG" in report.render()
