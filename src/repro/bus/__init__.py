@@ -10,14 +10,7 @@ from .arbiter import Arbiter
 from .bridge import BusBridge
 from .bus import PROTOCOLS, Bus
 from .dma import DmaController, DmaDescriptor
-from .interfaces import (
-    BusMasterIf,
-    BusSlaveIf,
-    InterruptIf,
-    Transaction,
-    check_range,
-    normalize_write_data,
-)
+from .interfaces import BusMasterIf, BusSlaveIf, InterruptIf, check_range, normalize_write_data
 from .interrupt import REG_ACK, REG_MASK, REG_PENDING, InterruptController
 from .memory import ConfigMemory, Memory, region_checksum
 from .monitor import BusMonitor
@@ -39,7 +32,6 @@ __all__ = [
     "REG_ACK",
     "REG_MASK",
     "REG_PENDING",
-    "Transaction",
     "check_range",
     "normalize_write_data",
     "region_checksum",

@@ -28,13 +28,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
 from .arbiter import Arbiter
-from .interfaces import (
-    BusMasterIf,
-    BusSlaveIf,
-    Transaction,
-    check_range,
-    normalize_write_data,
-)
+from .interfaces import BusMasterIf, BusSlaveIf, check_range, normalize_write_data
 from .memory import Memory
 from .monitor import BusMonitor
 
@@ -298,24 +292,17 @@ class Bus(Module, BusMasterIf):
         them at the window's end is exact: nothing else acts inside the
         window, so the store holds what each burst would have read.
         """
-        sim = self.sim
         content = words is not None
-        start = sim.now
-        yield SimTime.from_fs(bursts[-1][2] - start.femtoseconds)
-        last = len(bursts) - 1
+        start_fs = self.sim.now.femtoseconds
+        yield SimTime.from_fs(bursts[-1][2] - start_fs)
         record = self.monitor.record
         name = self._slave_name(memory)
-        for i, (addr, count, end_fs) in enumerate(bursts):
-            end = sim.now if i == last else SimTime.from_fs(end_fs)
+        for addr, count, end_fs in bursts:
             data = memory._settle_read(addr, count, content)
             if content:
                 words += data
-            record(
-                Transaction(
-                    "read", master, name, addr, count, start, start, end, list(tags), "ok"
-                )
-            )
-            start = end
+            record("read", master, name, addr, count, start_fs, start_fs, end_fs, tags, "ok")
+            start_fs = end_fs
         self.arbiter.grant_count += len(bursts) * (2 if self.protocol == "split" else 1)
 
     # -- core transfer ----------------------------------------------------------------
@@ -330,20 +317,20 @@ class Bus(Module, BusMasterIf):
         timing_only: bool = False,
     ):
         sim = self.sim
-        issued_at = sim.now
+        issued_fs = sim.now.femtoseconds
         priority = self._priorities.get(master, 0)
-        self.decode(addr)  # decode errors surface before arbitration
+        slave = self.decode(addr)  # decode errors surface before arbitration
         arbiter = self.arbiter
         if arbiter.try_acquire(master):
-            granted_at = issued_at  # uncontended: granted in the same instant
+            granted_fs = issued_fs  # uncontended: granted in the same instant
         else:
             yield arbiter.enqueue(master, priority)
-            granted_at = sim.now
-        # Decode again now that the grant is held: the DRCF model
-        # transformation may have swapped the slave map while this master
-        # waited out arbitration, and the transfer must target the map
-        # that is current at grant time.
-        slave = self.decode(addr)
+            granted_fs = sim.now.femtoseconds
+            # Decode again now that the grant is held: the DRCF model
+            # transformation may have swapped the slave map while this
+            # master waited out arbitration, and the transfer must target
+            # the map that is current at grant time.
+            slave = self.decode(addr)
         data: Optional[List[int]] = None
         status: Optional[str] = "ok"
         try:
@@ -388,18 +375,8 @@ class Bus(Module, BusMasterIf):
                 # silently dropping them would corrupt the monitor's
                 # occupancy and contention accounting.
                 self.monitor.record(
-                    Transaction(
-                        kind=kind,
-                        master=master,
-                        slave=self._slave_name(slave),
-                        addr=addr,
-                        words=count,
-                        issued_at=issued_at,
-                        granted_at=granted_at,
-                        completed_at=sim.now,
-                        tags=list(tags),
-                        status=status,
-                    )
+                    kind, master, self._slave_name(slave), addr, count,
+                    issued_fs, granted_fs, sim.now.femtoseconds, tags, status,
                 )
         return data if kind == "read" else True
 

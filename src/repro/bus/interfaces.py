@@ -25,10 +25,9 @@ internal routing multiplexer.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import List, Sequence, Union
 
-from ..kernel import Interface, SimTime
+from ..kernel import Interface
 
 
 class BusSlaveIf(Interface):
@@ -112,41 +111,6 @@ class InterruptIf(Interface):
     @abc.abstractmethod
     def raise_irq(self, source: str) -> None:
         """Signal completion to the sink."""
-
-
-@dataclass(slots=True)
-class Transaction:
-    """One completed bus transfer, as recorded by the bus monitor."""
-
-    kind: str  # "read" | "write"
-    master: str
-    slave: str
-    addr: int
-    words: int
-    issued_at: SimTime
-    granted_at: SimTime
-    completed_at: SimTime
-    tags: List[str] = field(default_factory=list)
-    #: "ok" for completed transfers; "error" when the slave call raised.
-    #: Errored transfers still occupied the bus, so the monitor records them.
-    status: str = "ok"
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def arbitration_wait(self) -> SimTime:
-        """Time spent waiting for bus grant."""
-        return self.granted_at - self.issued_at
-
-    @property
-    def latency(self) -> SimTime:
-        """End-to-end latency of the transfer."""
-        return self.completed_at - self.issued_at
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
 
 
 def normalize_write_data(data: Union[int, Sequence[int]]) -> List[int]:

@@ -94,8 +94,8 @@ class VcdTracer:
 class TimelineRecorder:
     """Collects labelled intervals for activity/utilization reports.
 
-    Used by the DRCF instrumentation and the bus monitor to produce the
-    per-context activity timelines reported by the experiment harness.
+    Used by the DRCF instrumentation to produce the per-context activity
+    timelines reported by the experiment harness.
     """
 
     def __init__(self) -> None:

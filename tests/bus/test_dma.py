@@ -3,11 +3,13 @@
 import pytest
 
 from repro.bus import Bus, DmaController, DmaDescriptor, Memory
-from repro.kernel import Simulator, ns
+from repro.kernel import Simulator, SimTime, ns
+from tests.conftest import RecordingMonitor
 
 
 def make_system(sim):
     bus = Bus("bus", sim=sim, clock_freq_hz=100e6)
+    bus.monitor = RecordingMonitor()
     src = Memory("src", sim=sim, base=0x0000, size_words=256)
     dst = Memory("dst", sim=sim, base=0x4000, size_words=256)
     bus.register_slave(src)
@@ -50,7 +52,7 @@ class TestCopies:
         assert dma.words_moved == 16
         assert bus.monitor.words_by_tag("config") == 16
         # Nothing written anywhere.
-        assert all(t.kind == "read" for t in bus.monitor.transactions)
+        assert all(t.kind == "read" for t in bus.monitor.records)
 
     def test_burst_chopping_allows_interleaving(self, sim):
         bus, src, dst, dma = make_system(sim)
@@ -64,7 +66,7 @@ class TestCopies:
 
         sim.spawn("cpu", cpu)
         sim.run()
-        dma_end = max(t.completed_at for t in bus.monitor.transactions).to_ns()
+        dma_end = SimTime.from_fs(max(t.completed_fs for t in bus.monitor.records)).to_ns()
         # The CPU read slotted between DMA bursts, well before the DMA end.
         assert cpu_done[0] < dma_end
 

@@ -5,10 +5,12 @@ import pytest
 from repro.bus import Bus, Memory
 from repro.cpu import TrafficGenerator
 from repro.kernel import Simulator, us
+from tests.conftest import RecordingMonitor
 
 
 def make_system(sim, **gen_kwargs):
     bus = Bus("bus", sim=sim, clock_freq_hz=100e6)
+    bus.monitor = RecordingMonitor()
     mem = Memory("mem", sim=sim, base=0, size_words=1024)
     bus.register_slave(mem)
     gen = TrafficGenerator(
@@ -27,7 +29,7 @@ class TestReproducibility:
         sim = Simulator()
         bus, gen = make_system(sim, seed=seed, n_transactions=20)
         sim.run()
-        return [(t.kind, t.addr, t.words) for t in bus.monitor.transactions]
+        return [(t.kind, t.addr, t.words) for t in bus.monitor.records]
 
     def test_same_seed_same_stream(self):
         assert self._trace(7) == self._trace(7)
@@ -51,7 +53,7 @@ class TestBehaviour:
     def test_read_fraction_zero_means_all_writes(self, sim):
         bus, _ = make_system(sim, n_transactions=10, read_fraction=0.0)
         sim.run()
-        assert all(t.kind == "write" for t in bus.monitor.transactions)
+        assert all(t.kind == "write" for t in bus.monitor.records)
 
     def test_gap_zero_saturates_bus(self, sim):
         bus, _ = make_system(sim, n_transactions=50, gap_cycles=0)
@@ -70,7 +72,7 @@ class TestBehaviour:
     def test_addresses_stay_in_window(self, sim):
         bus, _ = make_system(sim, n_transactions=40, burst_words=8)
         sim.run()
-        for t in bus.monitor.transactions:
+        for t in bus.monitor.records:
             assert 0 <= t.addr <= 1024 * 4 - 8 * 4
 
     def test_span_too_small_rejected(self, sim):

@@ -9,6 +9,7 @@ from repro.bus import Memory
 from repro.core import FULL_RECOVERY, Drcf
 from repro.faults import FaultInjector, FaultSpec
 from repro.kernel import SimulationError, us
+from tests.conftest import RecordingMonitor
 from tests.faults.helpers import RIG_INFO, access, make_rig, rig_design
 
 
@@ -123,10 +124,11 @@ class TestBusTransient:
         # The scrubber's read carries no words back, but an armed memory
         # hook still sees (and consumes the transient on) that burst.
         rig = make_rig(recovery=FULL_RECOVERY)
+        rig.bus.monitor = RecordingMonitor()
         injector = attach(rig, FaultSpec("bus_transient", "s1", at_ns=0.0))
         rig.sim.run(until=us(150))
-        scrubs = [t for t in rig.bus.monitor.transactions if t.has_tag("scrub")]
-        assert scrubs and all(t.ok for t in scrubs)
+        scrubs = [t for t in rig.bus.monitor.records if "scrub" in t.tags]
+        assert scrubs and all(t.status == "ok" for t in scrubs)
         assert injector.pending == 0
         assert [msg.split(":")[0] for _, msg in injector.events] == ["bus_transient s1"]
         assert rig.cfgmem.region_is_clean("s1")  # in flight, not in store

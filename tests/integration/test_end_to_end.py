@@ -15,6 +15,7 @@ from repro.apps import (
 )
 from repro.kernel import Simulator, signals_of
 from repro.tech import MORPHOSYS, VARICORE, VIRTEX2PRO
+from tests.conftest import RecordingMonitor
 
 ACCELS = ("fir", "fft", "viterbi", "xtea")
 
@@ -22,6 +23,7 @@ ACCELS = ("fir", "fft", "viterbi", "xtea")
 def run_workload(netlist, info, jobs):
     sim = Simulator()
     design = netlist.elaborate(sim)
+    design[info.bus_name].monitor = RecordingMonitor()
     runner = JobRunner(info.accel_bases, info.buffer_words)
     design["cpu"].run_task(runner.task(jobs), name="workload")
     sim.run()
@@ -111,11 +113,11 @@ class TestTrafficAccounting:
         netlist, info = make_reconfigurable_netlist(ACCELS, tech=VARICORE)
         sim, design, _ = run_workload(netlist, info, jobs)
         cfgmem = design[info.config_memory_name]
-        for txn in design[info.bus_name].monitor.transactions:
-            if txn.has_tag("config"):
+        for txn in design[info.bus_name].monitor.records:
+            if "config" in txn.tags:
                 context = cfgmem.context_for_address(txn.addr)
                 assert context is not None
-                assert txn.has_tag(context)
+                assert context in txn.tags
 
     def test_baseline_has_no_config_traffic(self, jobs):
         netlist, info = make_baseline_netlist(ACCELS)

@@ -34,6 +34,7 @@ from repro.cpu import TrafficGenerator
 from repro.dse import evaluate_architecture
 from repro.faults import SCENARIOS, run_campaign
 from repro.kernel import ZERO_TIME, Signal, Simulator, SimTime, VcdTracer, ns, us
+from tests.conftest import RecordingMonitor
 from tests.core.helpers import DummySlave, small_tech
 
 MODES = ("fast", "per_burst", "content", "content_per_burst")
@@ -67,36 +68,33 @@ def _modules(top):
 
 
 def apply_mode(modules, mode: str) -> None:
-    """Switch a design to ``mode`` through its existing hooks."""
+    """Switch a design to ``mode`` through its existing hooks.
+
+    Every bus also gets a :class:`RecordingMonitor`, which :func:`observe`
+    reads.
+    """
     for module in modules:
-        if mode.endswith("per_burst") and isinstance(module, Bus):
-            module.sim.trace_hooks.append(lambda now: None)
+        if isinstance(module, Bus):
+            module.monitor = RecordingMonitor()
+            if mode.endswith("per_burst"):
+                module.sim.trace_hooks.append(lambda now: None)
         elif mode.startswith("content") and isinstance(module, Drcf):
             module.fault_hook = PassThroughHook()
 
 
 def observe(sim, modules) -> dict:
-    """Every simulated observable of a finished run."""
+    """Every simulated observable of a finished run.
+
+    Also checks each bus monitor's running totals against its record log.
+    """
     out = {"now_fs": sim.now.femtoseconds}
     for module in modules:
         name = module.full_name
         if isinstance(module, Bus):
+            module.monitor.assert_totals_match_log()
             out[name] = {
-                "transactions": [
-                    (
-                        t.kind,
-                        t.master,
-                        t.slave,
-                        t.addr,
-                        t.words,
-                        t.issued_at.femtoseconds,
-                        t.granted_at.femtoseconds,
-                        t.completed_at.femtoseconds,
-                        list(t.tags),
-                        t.status,
-                    )
-                    for t in module.monitor.transactions
-                ],
+                "transactions": [tuple(r) for r in module.monitor.records],
+                "summary": module.monitor.summary(),
                 "busy_fs": module.monitor.busy_time().femtoseconds,
                 "grants": module.arbiter.grant_count,
                 "contention": module.arbiter.contention_count,
@@ -529,8 +527,7 @@ def run_content(scene, accesses, per_burst, upsets=()):
     )
     if scene["hook"]:
         rig.drcf.fault_hook = PassThroughHook()
-    if per_burst:
-        apply_mode(rig.modules(), "per_burst")
+    apply_mode(rig.modules(), "per_burst" if per_burst else "fast")
     for index, n_bursts in scene["transients"]:
         memory.inject_transient_error(f"s{index}", n_bursts)
 

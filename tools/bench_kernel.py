@@ -44,6 +44,12 @@ Usage::
     PYTHONPATH=src python tools/bench_kernel.py --check    # CI smoke: fail on >30% regression
     PYTHONPATH=src python tools/bench_kernel.py --quick    # smaller n (fast sanity run)
 
+Rates are nominal-machine rates: each workload's best time is rescaled by
+perfbench's program-independent calibration kernel (``perfbench/speed.py``),
+timed just before and after the workload, so a shared host that runs slow
+for a while reads the same as a quiet one and ``--check`` fails only on a
+slower program.
+
 ``--write`` preserves the recorded ``seed_baseline`` section (the numbers
 measured on the original seed kernel) so the speedup-vs-seed trajectory is
 never lost; pass ``--seed-baseline <file>`` to (re)initialize it.
@@ -60,15 +66,20 @@ import sys
 import time
 from typing import Callable, Dict, Optional
 
-if __name__ == "__main__" and __package__ is None:
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-from repro.bus import Bus, InterruptController, Memory
-from repro.kernel import Clock, Event, Module, Port, Signal, Simulator, ns
-
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+if __name__ == "__main__" and __package__ is None:
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(REPO_ROOT, "perfbench"))
+
+# perfbench/speed.py: the host-speed calibration kernel.
+from speed import NOMINAL_KERNEL_S, kernel_seconds  # noqa: E402
+
+from repro.bus import Bus, InterruptController, Memory  # noqa: E402
+from repro.kernel import Clock, Event, Module, Port, Signal, Simulator, ns  # noqa: E402
+
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_kernel.json")
-SCHEMA = "bench-kernel/v1"
+#: v2: rates are nominal-machine rates (see the module docstring).
+SCHEMA = "bench-kernel/v2"
 
 #: CI tolerance: --check fails when a workload drops below this fraction of
 #: the committed events/sec.
@@ -393,17 +404,21 @@ WORKLOADS: Dict[str, tuple] = {
 }
 
 def measure(fn: Callable[[int], int], n: int, repeats: int = 3) -> Dict[str, float]:
-    """Best-of-``repeats`` wall-clock measurement of one workload.
+    """Best-of-``repeats`` measurement of one workload, in nominal-machine time.
 
     Runs with the garbage collector off (collected first, restored after)
     so collector pauses don't smear the timings of allocation-heavy
-    workloads.
+    workloads.  The best wall-clock time is scaled by ``NOMINAL_KERNEL_S``
+    over the mean of two calibration-kernel timings that bracket the runs;
+    ``host_factor`` records that scale (below 1 on a host slower than the
+    nominal one).
     """
     if repeats < 1:
         raise ValueError("--repeats must be at least 1")
     best = None
     events = 0
     gc.collect()
+    calibration_before = kernel_seconds()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -416,12 +431,15 @@ def measure(fn: Callable[[int], int], n: int, repeats: int = 3) -> Dict[str, flo
     finally:
         if gc_was_enabled:
             gc.enable()
+    factor = NOMINAL_KERNEL_S / ((calibration_before + kernel_seconds()) / 2)
     assert events > 0, "workload processed no events"
+    best *= factor
     return {
         "n": n,
         "events": events,
         "seconds": round(best, 6),
         "events_per_sec": round(events / best, 1),
+        "host_factor": round(factor, 3),
     }
 
 
@@ -453,6 +471,7 @@ def write_baseline(
         "schema": SCHEMA,
         "generated_by": "tools/bench_kernel.py --write",
         "python": platform.python_version(),
+        "rates": "nominal machine (perfbench/speed.py calibration kernel)",
         "workloads": results,
     }
     if quick_results:
