@@ -13,7 +13,8 @@ schedules with controllable *context locality*:
   (best case: one switch per block);
 * :func:`random_mix_jobs` — seeded random block order (intermediate);
 * :func:`golden_outputs` — reference results from the executable
-  specification, for end-to-end verification.
+  specification, for end-to-end verification (memoized per job content:
+  design points that share a data seed check against the same results).
 
 All randomness is drawn from seeded private generators; identical
 arguments give identical schedules.
@@ -22,7 +23,8 @@ arguments give identical schedules.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .accelerators import (
     dct_blocks,
@@ -138,23 +140,35 @@ def random_mix_jobs(
 
 
 def golden_outputs(spec: JobSpec) -> List[int]:
-    """Reference result of a job from the executable specification."""
-    if spec.accel == "fir":
-        return fir_filter(spec.inputs, spec.coefs[: spec.param])
-    if spec.accel == "fft":
-        return fft_fixed(spec.inputs, spec.param)
-    if spec.accel == "dct":
-        return dct_blocks(spec.inputs)
-    if spec.accel == "viterbi":
-        return viterbi_decode(spec.inputs, spec.param)
-    if spec.accel == "xtea":
-        masked = [w & 0xFFFFFFFF for w in spec.inputs]
-        out = xtea_process(masked, [k & 0xFFFFFFFF for k in spec.coefs], decrypt=bool(spec.param))
-        return [w - (1 << 32) if w & 0x80000000 else w for w in out]
-    if spec.accel == "matmul":
-        n = spec.param
-        return matmul_int(spec.inputs[: n * n], spec.inputs[n * n : 2 * n * n], n)
-    raise KeyError(f"no golden model for {spec.accel!r}")
+    """Reference result of a job from the executable specification.
+
+    Computed once per distinct (accel, inputs, coefs, param) in a process,
+    from a bounded cache; every call returns a fresh list.
+    """
+    coefs = None if spec.coefs is None else tuple(spec.coefs)
+    return list(_golden(spec.accel, tuple(spec.inputs), coefs, spec.param))
+
+
+@lru_cache(maxsize=256)
+def _golden(
+    accel: str, inputs: Tuple[int, ...], coefs: Optional[Tuple[int, ...]], param: int
+) -> Tuple[int, ...]:
+    if accel == "fir":
+        return tuple(fir_filter(list(inputs), list(coefs[:param])))
+    if accel == "fft":
+        return tuple(fft_fixed(list(inputs), param))
+    if accel == "dct":
+        return tuple(dct_blocks(list(inputs)))
+    if accel == "viterbi":
+        return tuple(viterbi_decode(list(inputs), param))
+    if accel == "xtea":
+        masked = [w & 0xFFFFFFFF for w in inputs]
+        out = xtea_process(masked, [k & 0xFFFFFFFF for k in coefs], decrypt=bool(param))
+        return tuple(w - (1 << 32) if w & 0x80000000 else w for w in out)
+    if accel == "matmul":
+        n = param
+        return tuple(matmul_int(list(inputs[: n * n]), list(inputs[n * n : 2 * n * n]), n))
+    raise KeyError(f"no golden model for {accel!r}")
 
 
 def switch_count_lower_bound(jobs: Sequence[JobSpec]) -> int:

@@ -88,6 +88,11 @@ class Bus(Module, BusMasterIf):
         # method calls on the hot path (slave ranges are fixed; DRCF
         # reconfiguration swaps slaves, which invalidates the entry).
         self._decode_cache: Optional[tuple] = None
+        # Bumped whenever the slave map changes: a transfer that waited for
+        # its grant re-decodes only when the map changed meanwhile.
+        self._map_version = 0
+        # Published lookahead masters (see publish_master).
+        self._lookahead: List[object] = []
         # Cycle-count -> SimTime cache; cycle durations on the transfer path
         # repeat endlessly for the same burst sizes.  Keyed only by count:
         # ``clock_freq_hz`` is fixed at construction.
@@ -120,11 +125,13 @@ class Bus(Module, BusMasterIf):
                 )
         self._slaves.append(slave)
         self._decode_cache = None
+        self._map_version += 1
 
     def unregister_slave(self, slave: BusSlaveIf) -> None:
         """Detach a slave (used by the DRCF model transformation)."""
         self._slaves.remove(slave)
         self._decode_cache = None
+        self._map_version += 1
 
     @property
     def slaves(self) -> List[BusSlaveIf]:
@@ -133,6 +140,26 @@ class Bus(Module, BusMasterIf):
     def set_master_priority(self, master: str, priority: int) -> None:
         """Fixed priority for ``master`` (lower wins; only with priority policy)."""
         self._priorities[master] = priority
+
+    def publish_master(self, master) -> None:
+        """Declare ``master`` a lookahead master of this bus.
+
+        A lookahead master (a :class:`~repro.cpu.TrafficGenerator`) issues
+        requests that are a pure function of its own state, and waits on a
+        plain timeout between transactions.  It offers ``process`` (its
+        thread), ``between_transactions`` (true while it waits out a gap),
+        ``peek(i)`` (its ``i``-th pending request as ``(gap, addr,
+        payload)``, payload None for a read), ``consume(n)``, ``issued``,
+        ``n_transactions``, ``base``, ``span_bytes``, ``burst_words``,
+        ``word_bytes`` and ``tags``.  While exactly one is published, a
+        fetch train may settle both masters' transfers in one joint window
+        (:mod:`repro.bus.lookahead`).
+        """
+        self._lookahead.append(master)
+
+    def withdraw_master(self, master) -> None:
+        """Undo :meth:`publish_master` (the master issues nothing more)."""
+        self._lookahead.remove(master)
 
     def decode(self, addr: int) -> BusSlaveIf:
         """The slave whose range contains ``addr``."""
@@ -198,7 +225,10 @@ class Bus(Module, BusMasterIf):
         (:meth:`BusSlaveIf.read_timing`).  While nothing else can act,
         runs of bursts to a :class:`Memory` are coalesced into one timed
         wait whose words, monitor records, arbiter grants and memory
-        bookkeeping equal the per-burst ones exactly.
+        bookkeeping equal the per-burst ones exactly.  While a lookahead
+        master is published (:meth:`publish_master`) the train runs as
+        :func:`repro.bus.lookahead.stepped_train`, whose windows also cover
+        that master's transactions.
         """
         if n_words > 0 and burst_words <= 0:
             raise SimulationError("burst read count must be positive")
@@ -208,6 +238,15 @@ class Bus(Module, BusMasterIf):
     def _train(self, addr, n_words, burst_words, master, tags, word_bytes, content):
         words: Optional[List[int]] = [] if content else None
         while n_words > 0:
+            if self._lookahead:
+                # Imported here: designs without a lookahead master never
+                # load the joint-window machinery.
+                from .lookahead import stepped_train
+
+                yield from stepped_train(
+                    self, addr, n_words, burst_words, master, tags, word_bytes, words
+                )
+                break
             window = self._quiet_window(addr, n_words, burst_words, master, word_bytes)
             if window is None:
                 chunk = min(burst_words, n_words)
@@ -324,13 +363,14 @@ class Bus(Module, BusMasterIf):
         if arbiter.try_acquire(master):
             granted_fs = issued_fs  # uncontended: granted in the same instant
         else:
+            version = self._map_version
             yield arbiter.enqueue(master, priority)
             granted_fs = sim.now.femtoseconds
-            # Decode again now that the grant is held: the DRCF model
-            # transformation may have swapped the slave map while this
-            # master waited out arbitration, and the transfer must target
-            # the map that is current at grant time.
-            slave = self.decode(addr)
+            if self._map_version != version:
+                # The DRCF model transformation swapped the slave map while
+                # this master waited out arbitration; the transfer targets
+                # the map that is current at grant time.
+                slave = self.decode(addr)
         data: Optional[List[int]] = None
         status: Optional[str] = "ok"
         try:

@@ -197,12 +197,23 @@ class Memory(Module, BusSlaveIf):
             self.write_word_count += 1
             return True
         words = normalize_write_data(data)
-        index = self._index(addr, len(words))
+        self._index(addr, len(words))
         yield self._burst_time(len(words))
-        for i, word in enumerate(words):
-            self._store[index + i] = word
-        self.write_word_count += len(words)
+        self._settle_write(addr, words)
         return True
+
+    def _settle_write(self, addr: int, words: List[int]) -> None:
+        """Effect of a finished burst write of ``words`` at ``addr``.
+
+        :meth:`write` ends with this; the bus calls it directly when it
+        settles a lookahead master's writes at the end of a joint window.
+        """
+        store = self._store
+        index = (addr - self.base) // self.word_bytes
+        for word in words:
+            store[index] = word
+            index += 1
+        self.write_word_count += len(words)
 
     # -- zero-time backdoor (test benches, loaders) --------------------------------
     def poke(self, addr: int, data: Union[int, Sequence[int]]) -> None:

@@ -399,6 +399,30 @@ class ThreadProcess(Process):
         self._wait_spec = spec
         self._handle = handle
 
+    def _timeout_action(self) -> Optional["TimedAction"]:
+        """The pending wake of a plain timeout wait (``yield SimTime``), else None."""
+        if self._handle is None or type(self._wait_spec) is not SimTime:
+            return None
+        return self._handle.timed_action
+
+    def _move_timeout(self, time_fs: Optional[int], spec: Optional[SimTime] = None) -> None:
+        """Move a plain timeout wait to ``time_fs``; None holds it unarmed.
+
+        For a bus that settled this thread's activity itself (see
+        :meth:`repro.bus.Bus.publish_master`): the old wake is cancelled,
+        and the new one fires after every action already scheduled at
+        ``time_fs``.  ``spec`` becomes the wait's description.
+        """
+        handle = self._handle
+        action = handle.timed_action
+        if action is not None:
+            action.cancelled = True
+            handle.timed_action = None
+        if time_fs is not None:
+            handle.timed_action = self.sim._schedule_timed_fs(time_fs, handle._on_timeout)
+        if spec is not None:
+            self._wait_spec = spec
+
     def _terminate(self) -> None:
         if self._handle is not None:
             self._handle.disarm()

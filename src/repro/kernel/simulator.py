@@ -413,7 +413,7 @@ class Simulator:
                 )
         return self.now
 
-    def quiet_until_fs(self) -> Optional[float]:
+    def quiet_until_fs(self, past: Optional[TimedAction] = None) -> Optional[float]:
         """How far the running process may advance time with nothing else acting.
 
         The temporal-decoupling query behind the bus's coalesced
@@ -425,6 +425,10 @@ class Simulator:
         timed action and not past the run's ``until`` bound (``math.inf``
         when neither exists): a single timed wait ending there is
         indistinguishable from any sequence of waits ending there.
+
+        ``past`` names one pending action to look past: the wake of a
+        bus master whose behaviour the caller predicts (see
+        :meth:`repro.bus.Bus.publish_master`).
 
         A wall-clock watchdog does not matter: it stops a run only between
         two process executions or before a timed action fires.  The
@@ -444,9 +448,14 @@ class Simulator:
         ):
             return None
         heap = self._timed_heap
-        if heap and heap[0].time_fs <= cap:
-            # A cancelled entry at the top only makes the bound tighter.
-            return heap[0].time_fs - 1
+        if heap:
+            first = heap[0]
+            if first is past:
+                # The next action is one of the root's children.
+                first = min(heap[1:3], default=None)
+            # A cancelled entry here only makes the bound tighter.
+            if first is not None and first.time_fs <= cap:
+                return first.time_fs - 1
         return cap
 
     def _trip_watchdog(self, max_wall_s: float) -> None:

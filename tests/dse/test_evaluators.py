@@ -68,6 +68,27 @@ class TestEvaluateArchitecture:
         )
         assert "prefetch_requests" in metrics
 
+    def test_warm_golden_cache_still_catches_a_corrupted_output(self, monkeypatch):
+        """The memoized reference is compared on every design point."""
+        import repro.apps.driver as driver
+        from repro.apps.workloads import _golden
+
+        params = {"tech": "asic", "n_frames": 1, "accels": ("fir", "xtea")}
+        evaluate_architecture(dict(params))
+        hits = _golden.cache_info().hits
+        evaluate_architecture(dict(params))
+        assert _golden.cache_info().hits >= hits + 2  # both jobs came from the cache
+
+        class Corrupting(driver.JobResult):
+            def __init__(self, spec, outputs, *args, **kwargs):
+                if spec.accel == "xtea":
+                    outputs = [outputs[0] ^ 1] + list(outputs[1:])
+                super().__init__(spec, outputs, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "JobResult", Corrupting)
+        with pytest.raises(SimulationError, match="job frame0.xtea produced wrong output"):
+            evaluate_architecture(dict(params))
+
     def test_verification_catches_bad_outputs(self, monkeypatch):
         import repro.dse.evaluators as ev
 

@@ -10,11 +10,16 @@ design here runs up to four times, through switches that already exist:
   kernel from ever being quiet and so forbids coalescing;
 * ``content``: a pass-through DRCF fault hook, which makes the fetch carry
   its words;
-* ``content_per_burst``: both.
+* ``content_per_burst``: both;
+* ``unpublished``: no traffic generator publishes itself as a lookahead
+  master, so every transfer, the train's included, goes through the bus's
+  plain per-burst transfer path (the reference for the joint windows of
+  :mod:`repro.bus.lookahead`).
 
 Every simulated observable must be identical across the runs: each bus
-transaction field, the arbiter counters, the memory counters, the DRCF
-statistics, the model-level corruption truth, the fetched words, the
+transaction field, the arbiter counters, the memory counters and stored
+words, each generator's issued count, the DRCF statistics, the
+model-level corruption truth, the fetched words, the
 ``evaluate_architecture`` row, the fault-campaign report and the final
 simulated time.
 """
@@ -27,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.kernel.simulator as simulator_module
+from repro.bus import lookahead
 from repro.bus import Bus, BusBridge, ConfigMemory, Memory, region_checksum
 from repro.core import Context, ContextParameters, Drcf, RecoveryPolicy
 from repro.core.netlist import Netlist
@@ -37,7 +43,7 @@ from repro.kernel import ZERO_TIME, Signal, Simulator, SimTime, VcdTracer, ns, u
 from tests.conftest import RecordingMonitor
 from tests.core.helpers import DummySlave, small_tech
 
-MODES = ("fast", "per_burst", "content", "content_per_burst")
+MODES = ("fast", "per_burst", "content", "content_per_burst", "unpublished")
 
 CFG_BASE = 0x10_0000
 DATA_BASE = 0x8_0000
@@ -67,11 +73,26 @@ def _modules(top):
         yield from _modules(child)
 
 
+@contextmanager
+def running_in(mode):
+    """Patch, for the ``unpublished`` mode, lookahead publication away."""
+    if mode != "unpublished":
+        yield
+        return
+    publish, withdraw = Bus.publish_master, Bus.withdraw_master
+    Bus.publish_master = Bus.withdraw_master = lambda self, master: None
+    try:
+        yield
+    finally:
+        Bus.publish_master, Bus.withdraw_master = publish, withdraw
+
+
 def apply_mode(modules, mode: str) -> None:
     """Switch a design to ``mode`` through its existing hooks.
 
     Every bus also gets a :class:`RecordingMonitor`, which :func:`observe`
-    reads.
+    reads.  The ``unpublished`` mode also needs the run inside
+    :func:`running_in`.
     """
     for module in modules:
         if isinstance(module, Bus):
@@ -92,12 +113,20 @@ def observe(sim, modules) -> dict:
         name = module.full_name
         if isinstance(module, Bus):
             module.monitor.assert_totals_match_log()
+            arbiter = module.arbiter
             out[name] = {
                 "transactions": [tuple(r) for r in module.monitor.records],
                 "summary": module.monitor.summary(),
                 "busy_fs": module.monitor.busy_time().femtoseconds,
-                "grants": module.arbiter.grant_count,
-                "contention": module.arbiter.contention_count,
+                "grants": arbiter.grant_count,
+                "contention": arbiter.contention_count,
+                "arbiter": (arbiter.owner, arbiter.waiters, arbiter._seq, arbiter._rr_index,
+                            list(arbiter._rr_order)),
+                # The pool is a cache: its order is not observable.
+                "grant_events": sorted(
+                    (label, event.trigger_count, event._last_trigger_fs)
+                    for label, event in arbiter._grant_pool.items()
+                ),
             }
         elif isinstance(module, Memory):
             out[name] = (
@@ -105,7 +134,10 @@ def observe(sim, modules) -> dict:
                 module.write_word_count,
                 getattr(module, "injected_errors", None),
                 dict(getattr(module, "_transient_errors", {})),
+                sorted(module._store.items()),
             )
+        elif isinstance(module, TrafficGenerator):
+            out[name] = module.issued
         elif isinstance(module, Drcf):
             out[name] = (
                 module.stats.summary(),
@@ -154,6 +186,10 @@ class FetchRig:
         burst_words=64,
         latency_cycles=2,
         contend_gap=None,
+        gen_burst_words=4,
+        gen_read_fraction=0.5,
+        gen_seed=3,
+        gen_transactions=40,
         prefetch=False,
         cache_bytes=None,
         n_contexts=3,
@@ -217,14 +253,18 @@ class FetchRig:
                 sim=sim,
                 base=DATA_BASE,
                 span_bytes=1024,
+                burst_words=gen_burst_words,
                 gap_cycles=contend_gap,
-                seed=3,
-                n_transactions=40,
+                read_fraction=gen_read_fraction,
+                seed=gen_seed,
+                n_transactions=gen_transactions,
             )
             self.generator.mst_port.bind(self.cfg_bus)
 
     def modules(self):
         found = [self.bus, self.cfgmem, self.data, self.drcf]
+        if self.generator is not None:
+            found.append(self.generator)
         if self.cfg_bus is not self.bus:
             found.append(self.cfg_bus)
         if self.bridge is not None:
@@ -255,7 +295,8 @@ class FetchRig:
 def run_rig(mode, accesses, prefetches=(), **rig_kwargs):
     rig = FetchRig(**rig_kwargs)
     apply_mode(rig.modules(), mode)
-    rig.run_accesses(accesses, prefetches=prefetches)
+    with running_in(mode):
+        rig.run_accesses(accesses, prefetches=prefetches)
     return rig, observe(rig.sim, rig.modules())
 
 
@@ -271,7 +312,10 @@ rig_st = st.fixed_dictionaries(
         "latency_cycles": st.integers(0, 6),
         "protocol": st.sampled_from(["split", "blocking"]),
         "arbitration": st.sampled_from(["fifo", "priority", "round_robin"]),
-        "contend_gap": st.sampled_from([None, None, 0, 8, 40]),
+        "contend_gap": st.sampled_from([None, 0, 1, 8, 40]),
+        "gen_burst_words": st.sampled_from([1, 4, 16]),
+        "gen_read_fraction": st.sampled_from([0.0, 0.5, 1.0]),
+        "gen_seed": st.integers(0, 2**16),
         "prefetch": st.booleans(),
         "cache_bytes": st.sampled_from([None, 600, 4096]),
     }
@@ -292,6 +336,7 @@ class TestDifferential:
         executions = {m: r.sim.stats.process_executions for m, r in rigs.items()}
         assert executions["fast"] <= executions["per_burst"]
         assert executions["content"] <= executions["content_per_burst"]
+        assert executions["per_burst"] == executions["content_per_burst"]
 
     @given(
         st.fixed_dictionaries(
@@ -303,7 +348,7 @@ class TestDifferential:
                 "config_burst_words": st.sampled_from([16, 50, 64, 100]),
                 "cfg_latency_cycles": st.integers(0, 6),
                 "bus_protocol": st.sampled_from(["split", "blocking"]),
-                "background_gap_cycles": st.sampled_from([None, None, 8]),
+                "background_gap_cycles": st.sampled_from([None, 1, 8, 40]),
                 "prefetch": st.booleans(),
                 "seed": st.integers(0, 3),
             }
@@ -316,7 +361,7 @@ class TestDifferential:
         params["dedicated_config_bus"] = params["bus_protocol"] == "blocking"
         runs = {}
         for mode in MODES:
-            with elaborated_in_mode(mode) as designs:
+            with elaborated_in_mode(mode) as designs, running_in(mode):
                 row = evaluate_architecture(dict(params))
             (design,) = designs
             runs[mode] = observe(design.sim, list(_modules(design.top)))
@@ -906,6 +951,296 @@ class TestKernelQuietness:
             sim.run()
             runs.append((stopped, resumed, observe(sim, [bus, mem])))
         assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# joint windows: the fetch train and a lookahead traffic generator
+# ---------------------------------------------------------------------------
+
+#: A generator contending with every fetch of ACCESSES, as in experiment E8.
+CONTENDED = {"contend_gap": 8, "gen_transactions": 50}
+
+
+def windows_of(monkeypatch):
+    """Record ``(start_fs, end_fs)`` of every joint window opened."""
+    seen = []
+    original = lookahead._plan_window
+
+    def plan_window(bus, d, *args):
+        plan = original(bus, d, *args)
+        if plan is not None:
+            seen.append((bus.sim.now.femtoseconds, plan.end_fs))
+        return plan
+
+    monkeypatch.setattr(lookahead, "_plan_window", plan_window)
+    return seen
+
+
+def add_generator(rig, name, base, **kwargs):
+    gen = TrafficGenerator(name, sim=rig.sim, base=base, span_bytes=1024,
+                           gap_cycles=8, n_transactions=200, **kwargs)
+    gen.mst_port.bind(rig.cfg_bus)
+    return gen
+
+
+def run_each_mode(build, accesses=ACCESSES, modes=("fast", "per_burst", "unpublished"),
+                  until=None):
+    """Build, run and observe one design per mode; ``build()`` returns (rig, extra modules)."""
+    runs, executions = {}, {}
+    for mode in modes:
+        rig, extra = build()
+        modules = rig.modules() + extra
+        apply_mode(modules, mode)
+        with running_in(mode):
+            rig.run_accesses(accesses, until=until)
+        runs[mode] = observe(rig.sim, modules)
+        executions[mode] = rig.sim.stats.process_executions
+    return runs, executions
+
+
+class TestJointWindow:
+    def test_contended_fetch_coalesces(self, monkeypatch):
+        windows = windows_of(monkeypatch)
+        runs, executions = run_each_mode(lambda: (FetchRig(**CONTENDED), []))
+        assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+        assert runs["fast"]["bus"]["contention"] > 0
+        assert windows and executions["fast"] * 2 < executions["per_burst"]
+        gen_records = [t for t in runs["fast"]["bus"]["transactions"] if t[1] == "gen"]
+        # The generator's transfers land inside the windows.
+        inside = [t for t in gen_records if any(s < t[7] <= e for s, e in windows)]
+        assert len(inside) > len(gen_records) // 2
+
+    def test_two_generators_refuse(self, monkeypatch):
+        windows = windows_of(monkeypatch)
+
+        def build():
+            rig = FetchRig(**CONTENDED)
+            return rig, [add_generator(rig, "gen2", DATA_BASE + 0x1000, seed=9)]
+
+        runs, executions = run_each_mode(build)
+        assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+        assert runs["fast"]["gen2"] > 0
+        assert not windows
+        assert executions["fast"] == executions["per_burst"]
+
+    def test_generator_behind_bridge_refuses(self, monkeypatch):
+        windows = windows_of(monkeypatch)
+        far_base = 0x40_0000
+
+        def build():
+            rig = FetchRig(**CONTENDED)
+            far_bus = Bus("far_bus", sim=rig.sim, protocol="split")
+            far = Memory("far", sim=rig.sim, base=far_base, size_words=1024)
+            far_bus.register_slave(far)
+            bridge = BusBridge("bridge", sim=rig.sim, low=far_base,
+                               high=far.get_high_add())
+            bridge.dn_port.bind(far_bus)
+            rig.cfg_bus.register_slave(bridge)
+            gen = rig.generator
+            gen.base = far_base  # its window now decodes to the bridge
+            return rig, [far_bus, far]
+
+        runs, executions = run_each_mode(build)
+        assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+        assert runs["fast"]["far"][1] > 0  # the generator's writes crossed it
+        assert not windows
+        assert executions["fast"] == executions["per_burst"]
+
+    def test_generator_aimed_at_config_memory_refuses(self, monkeypatch):
+        windows = windows_of(monkeypatch)
+
+        def build():
+            rig = FetchRig(**CONTENDED)
+            rig.generator.base = CFG_BASE + 0x8000  # past the bitstreams
+            return rig, []
+
+        runs, executions = run_each_mode(build)
+        assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+        assert runs["fast"]["cfg"][1] > 0
+        assert not windows
+        assert executions["fast"] == executions["per_burst"]
+
+    def test_memory_fault_hooks_refuse(self, monkeypatch):
+        """An armed hook on either memory sees every burst's words as read."""
+        windows = windows_of(monkeypatch)
+
+        class Recorder:
+            def __init__(self):
+                self.bursts = []
+
+            def on_memory_read(self, memory, addr, count, data):
+                self.bursts.append((memory.full_name, addr, count, list(data)))
+                return data
+
+        for hooked in ("cfg", "data"):
+            hooks = {}
+
+            def build(hooked=hooked):
+                rig = FetchRig(**CONTENDED)
+                hook = hooks[len(hooks)] = Recorder()
+                getattr(rig, "cfgmem" if hooked == "cfg" else "data").fault_hook = hook
+                return rig, []
+
+            runs, _ = run_each_mode(build)
+            assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+            assert hooks[0].bursts == hooks[1].bursts == hooks[2].bursts
+            reads = [(t[2], t[3], t[4]) for t in runs["fast"]["bus"]["transactions"]
+                     if t[0] == "read" and t[2] == hooked]
+            assert [b[:3] for b in hooks[0].bursts] == reads and reads
+            assert not windows
+
+    def test_run_until_mid_window(self, monkeypatch):
+        """A run stopped inside a window leaves the counters where per-burst does."""
+        windows = windows_of(monkeypatch)
+        full, _ = run_each_mode(lambda: (FetchRig(**CONTENDED), []), modes=("fast",))
+        records = full["fast"]["bus"]["transactions"]
+        assert windows
+        start, end = max(windows, key=lambda w: w[1] - w[0])
+        inside = sorted({t[7] for t in records if start < t[7] < end})
+        stops = {start + 1, (start + end) // 2, end - 1, end, end + 1}
+        stops.update(inside[:: max(1, len(inside) // 8)])
+        stops.update(t + 1 for t in inside[:3])
+        for stop_fs in sorted(stops):
+            observed = []
+            for mode in ("fast", "per_burst"):
+                rig = FetchRig(**CONTENDED)
+                apply_mode(rig.modules(), mode)
+                rig.run_accesses(ACCESSES, until=SimTime.from_fs(stop_fs))
+                first = observe(rig.sim, rig.modules())
+                rig.sim.run()
+                observed.append((first, observe(rig.sim, rig.modules())))
+            assert observed[0] == observed[1], f"diverged when stopped at {stop_fs} fs"
+
+    def test_watchdog_trip_mid_window_resumes_identically(self, monkeypatch):
+        """A trip while a window's wait is pending stops at an instant of the
+        per-burst run, and a resumed run ends identical.
+
+        The kernel's clock is replaced so the watchdog trips at the first
+        reading taken while the ``k``-th window (or a later one) is open.
+        """
+        real_time = simulator_module.time
+        windows = windows_of(monkeypatch)
+
+        class Clock:
+            def __init__(self, sim, k):
+                self.sim, self.first = sim, len(windows) + k - 1
+
+            def monotonic(self):
+                if len(windows) > self.first:
+                    start, end = windows[-1]
+                    if start <= self.sim.now.femtoseconds < end:
+                        return 1e9
+                return 0.0
+
+        def scene(mode):
+            sim = Simulator()
+            bus = Bus("bus", sim=sim, protocol="split")
+            mem = Memory("mem", sim=sim, base=0, size_words=1 << 14)
+            data = Memory("data", sim=sim, base=0x4_0000, size_words=1024)
+            bus.register_slave(mem)
+            bus.register_slave(data)
+            for i in range(0, 1 << 14, 97):
+                mem.poke(4 * i, i)
+            gen = TrafficGenerator("gen", sim=sim, base=0x4_0000, span_bytes=4096,
+                                   gap_cycles=8, seed=5, n_transactions=2000)
+            gen.mst_port.bind(bus)
+            modules = [bus, mem, data, gen]
+            apply_mode(modules, mode)
+            fetched = []
+
+            def fetch():
+                yield from bus.read(0xFFF0, 1, master="fetch")
+                words = yield from bus.read_train(0, 12000, 16, master="fetch")
+                fetched.append(words)
+
+            def ticker():
+                # Cuts the train into many windows.
+                for _ in range(600):
+                    yield ns(500)
+
+            sim.spawn("fetch", fetch)
+            sim.spawn("ticker", ticker)
+            return sim, modules, fetched
+
+        ref_sim, ref_modules, ref_words = scene("per_burst")
+        instants = set()
+        ref_sim.trace_hooks.append(lambda t: instants.add(t.femtoseconds))
+        ref_sim.run()
+        reference = observe(ref_sim, ref_modules)
+        ref_records = reference["bus"]["transactions"]
+
+        trips = 0
+        for k in (1, 40, 120, 250):
+            sim, modules, words = scene("fast")
+            monkeypatch.setattr(simulator_module, "time", Clock(sim, k))
+            sim.run(max_wall_s=1.0)
+            monkeypatch.setattr(simulator_module, "time", real_time)
+            if not sim.watchdog_fired:
+                continue
+            trips += 1
+            stop_fs = sim.now.femtoseconds
+            assert stop_fs in instants
+            stopped = observe(sim, modules)["bus"]["transactions"]
+            # Everything finished before the stop instant is there; the
+            # window that starts at it settles its first steps at its end.
+            assert [t for t in stopped if t[7] < stop_fs] == [
+                t for t in ref_records if t[7] < stop_fs
+            ]
+            assert all(t in ref_records for t in stopped)
+            sim.run()
+            assert observe(sim, modules) == reference
+            assert words == ref_words
+            assert sim.stats.process_executions < ref_sim.stats.process_executions
+        assert trips >= 2
+
+    def test_release_and_request_tie_inside_window(self, monkeypatch):
+        """The generator asks for the bus in the femtosecond the train lets go.
+
+        Per-burst, both wakes fire before either master runs and the
+        (time, seq) order decides who acts first; the window replays that.
+        """
+        windows = windows_of(monkeypatch)
+        address_fs = 10_000_000  # one 100 MHz cycle: address phase, request beat
+        ties = 0
+        for seed in range(4):
+            del windows[:]
+            kwargs = dict(CONTENDED, contend_gap=1, gen_seed=seed)
+            runs, executions = run_each_mode(lambda: (FetchRig(**kwargs), []))
+            assert runs["fast"] == runs["per_burst"] == runs["unpublished"]
+            assert executions["fast"] < executions["per_burst"]
+            records = runs["fast"]["bus"]["transactions"]
+            releases = set()
+            for t in records:
+                if t[1] == "drcf":
+                    releases.update((t[6] + 2 * address_fs, t[7]))  # beat end, data end
+            ties += sum(
+                1
+                for t in records
+                if t[1] == "gen"
+                and t[5] in releases
+                and any(start < t[5] < end for start, end in windows)
+            )
+        assert ties > 0
+
+
+class TestContendedCountGate:
+    def test_bus_contended_varicore_point(self):
+        """The E8 varicore point (seed 42) runs in under a third of the events.
+
+        Per-burst it takes 32,425 process executions; every reported
+        metric stays what the per-burst run reports.
+        """
+        designs = []
+        with elaborated_in_mode("fast") as designs:
+            row = evaluate_architecture({
+                "tech": "varicore", "accels": ["fir", "fft", "viterbi", "xtea"],
+                "workload": "random", "n_frames": 2, "bus_protocol": "split",
+                "background_gap_cycles": 8, "prefetch": True, "seed": 42,
+            })
+        (design,) = designs
+        assert design.sim.stats.process_executions <= 32_425 // 3
+        assert (row["makespan_us"], row["bus_config_words"], row["bus_data_words"],
+                row["switches"]) == (1647.928, 76_876, 20_493, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ name's kind and first docstring line into a markdown reference.  The test
 ``tests/docs/test_api_reference.py`` regenerates the document and compares
 it with the checked-in copy, so the reference cannot go stale.
 
-Run:  python tools/gen_api_docs.py [output_path]
+Run:  python tools/gen_api_docs.py [output_path]   (default docs/API.md)
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import sys
@@ -33,6 +34,7 @@ PACKAGES = [
 #: after the packages (dotted ``package.Class.method`` paths).
 METHODS = [
     "repro.kernel.Simulator.quiet_until_fs",
+    "repro.bus.Bus.publish_master",
     "repro.bus.BusMasterIf.read_train",
     "repro.bus.Bus.read_train",
     "repro.bus.BusSlaveIf.read_timing",
@@ -101,8 +103,15 @@ def generate() -> str:
     return "\n".join(lines) + ""
 
 
-def main() -> int:
-    output = sys.argv[1] if len(sys.argv) > 1 else "docs/API.md"
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Generate the API reference from the public docstrings."
+    )
+    parser.add_argument(
+        "output", nargs="?", default="docs/API.md",
+        help="file to write (default: docs/API.md)",
+    )
+    output = parser.parse_args(argv).output
     text = generate()
     with open(output, "w", encoding="utf-8") as fh:
         fh.write(text)
